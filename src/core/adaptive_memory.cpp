@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "construct/i1_insertion.hpp"
 #include "construct/insertion_utils.hpp"
@@ -31,7 +32,7 @@ double solution_quality(const Objectives& o) {
 RunResult AdaptiveMemoryTsmo::run() const {
   Timer timer;
   Rng rng(params_.seed);
-  ParetoArchive<Solution> global(
+  ParetoArchive<std::shared_ptr<const Solution>> global(
       static_cast<std::size_t>(std::max(params_.inner.archive_capacity, 2)));
   std::vector<PooledRoute> pool;
 
@@ -108,9 +109,9 @@ RunResult AdaptiveMemoryTsmo::run() const {
     for (const auto& entry : state.archive().entries()) {
       global.try_add(entry.obj, entry.value);
       const double quality = solution_quality(entry.obj);
-      for (int r = 0; r < entry.value.num_routes(); ++r) {
-        if (entry.value.route(r).empty()) continue;
-        pool.push_back(PooledRoute{entry.value.route(r), quality});
+      for (int r = 0; r < entry.value->num_routes(); ++r) {
+        if (entry.value->route(r).empty()) continue;
+        pool.push_back(PooledRoute{entry.value->route(r), quality});
       }
     }
     std::sort(pool.begin(), pool.end(),
@@ -127,7 +128,7 @@ RunResult AdaptiveMemoryTsmo::run() const {
   result.algorithm = "adaptive-memory";
   for (const auto& entry : global.entries()) {
     result.front.push_back(entry.obj);
-    result.solutions.push_back(entry.value);
+    result.solutions.push_back(*entry.value);
   }
   result.evaluations = evaluations;
   result.iterations = cycles;

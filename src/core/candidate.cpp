@@ -1,5 +1,7 @@
 #include "core/candidate.hpp"
 
+#include <utility>
+
 namespace tsmo {
 
 std::vector<Candidate> make_candidates(
@@ -19,6 +21,14 @@ Solution materialize(const MoveEngine& engine, const Candidate& c) {
   Solution s = *c.base;
   engine.apply(s, c.move);
   return s;
+}
+
+std::shared_ptr<const Solution> materialize(const MoveEngine& engine,
+                                            const LazySolution& s) {
+  if (!s.move) return s.base;
+  Solution out = *s.base;
+  engine.apply(out, *s.move);
+  return std::make_shared<const Solution>(std::move(out));
 }
 
 std::vector<std::size_t> nondominated_indices(

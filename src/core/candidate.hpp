@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "operators/neighborhood.hpp"
@@ -39,6 +40,22 @@ std::vector<Candidate> make_candidates(
 
 /// Applies the candidate's move to a copy of its base.
 Solution materialize(const MoveEngine& engine, const Candidate& c);
+
+/// A solution kept without building it: a base handle plus the move that
+/// leads from the base to the solution.  A solution that already exists
+/// (e.g. one received from a peer) has no move.  M_nondom holds its
+/// members this way, so an entry that is evicted before a restart takes
+/// it is never built.
+struct LazySolution {
+  std::shared_ptr<const Solution> base;
+  std::optional<Move> move;
+};
+
+/// The solution `s` stands for: the base handle itself when there is no
+/// move, otherwise a new handle on a copy of the base with the move
+/// applied (bitwise what materializing the originating candidate gives).
+std::shared_ptr<const Solution> materialize(const MoveEngine& engine,
+                                            const LazySolution& s);
 
 /// Indices of the non-dominated members of `candidates` (first occurrence
 /// wins among duplicates).

@@ -76,7 +76,7 @@ void SearchState::initialize_with(Solution s) {
   current_ = std::make_shared<const Solution>(std::move(s));
   ++evaluations_;
   const ArchiveOutcome init_outcome =
-      archive_.try_add(current_->objectives(), *current_);
+      archive_.try_add(current_->objectives(), current_);
   observe_archive_outcome(init_outcome);
   if (archive_accepted(init_outcome)) {
     note_insertion(current_->objectives(), -1, -1);
@@ -101,8 +101,8 @@ std::vector<Candidate> SearchState::generate_candidates(int count) {
 }
 
 std::optional<std::size_t> SearchState::select(
-    const std::vector<Candidate>& candidates) {
-  const std::vector<std::size_t> nd = nondominated_indices(candidates);
+    const std::vector<Candidate>& candidates,
+    const std::vector<std::size_t>& nd) {
   std::vector<std::size_t> admissible;
   admissible.reserve(nd.size());
   for (std::size_t i : nd) {
@@ -118,18 +118,19 @@ std::optional<std::size_t> SearchState::select(
   return admissible[rng_.below(admissible.size())];
 }
 
-Solution SearchState::restart_pick() {
+std::shared_ptr<const Solution> SearchState::restart_pick() {
   const std::size_t total = nondom_.size() + archive_.size();
   if (total == 0) {
     // Both memories exhausted: fall back to a fresh construction.
     ++evaluations_;
-    return construct_i1_random(*inst_, rng_);
+    return std::make_shared<const Solution>(
+        construct_i1_random(*inst_, rng_));
   }
   const std::size_t k = rng_.below(total);
   if (k < nondom_.size()) {
-    return std::move(nondom_.take_random(rng_).value);  // consumed
+    return materialize(engine_, nondom_.take_random(rng_).value);  // consumed
   }
-  return archive_.sample(rng_).value;  // copied, archive keeps it
+  return archive_.sample(rng_).value;  // shared, archive keeps it
 }
 
 SearchState::StepOutcome SearchState::step_with_candidates(
@@ -143,19 +144,20 @@ SearchState::StepOutcome SearchState::step_with_candidates(
   if (external_restart_.exchange(false, std::memory_order_relaxed)) {
     no_improvement_ = true;
   }
-  // Line 8: s <- Select(N, M_tabulist)
-  const std::optional<std::size_t> sel = select(candidates);
+  // Line 8: s <- Select(N, M_tabulist).  The non-dominated subset also
+  // feeds the M_nondom update below.
+  const std::vector<std::size_t> nd = nondominated_indices(candidates);
+  const std::optional<std::size_t> sel = select(candidates, nd);
 
   // Lines 9-12: restart from the memories when selection failed or the
   // archive has stagnated.
   if (sel.has_value() && !no_improvement_) {
     const Candidate& c = candidates[*sel];
-    Solution next = materialize(engine_, c);
+    current_ = std::make_shared<const Solution>(materialize(engine_, c));
     tabu_.push(c.destroys);
-    current_ = std::make_shared<const Solution>(std::move(next));
     out.selected = sel;
   } else {
-    current_ = std::make_shared<const Solution>(restart_pick());
+    current_ = restart_pick();
     ++restarts_;
     ++istats_.restarts;
     TSMO_COUNT("search.restarts");
@@ -174,9 +176,10 @@ SearchState::StepOutcome SearchState::step_with_candidates(
   }
 
   // Line 13: UpdateMemories(s, N) — chosen current into M_archive,
-  // remaining non-dominated neighbors into M_nondom.
+  // remaining non-dominated neighbors into M_nondom (unbuilt: base handle
+  // and move).
   const ArchiveOutcome step_outcome =
-      archive_.try_add(current_->objectives(), *current_);
+      archive_.try_add(current_->objectives(), current_);
   observe_archive_outcome(step_outcome);
   const bool improved = archive_accepted(step_outcome);
   if (improved) {
@@ -189,12 +192,10 @@ SearchState::StepOutcome SearchState::step_with_candidates(
       note_insertion(current_->objectives(), -1, -1);
     }
   }
-  for (std::size_t i : nondominated_indices(candidates)) {
+  for (std::size_t i : nd) {
     if (out.selected && i == *out.selected) continue;
     const Candidate& c = candidates[i];
-    if (nondom_.would_add(c.obj)) {
-      nondom_.try_add(c.obj, materialize(engine_, c));
-    }
+    nondom_.try_add(c.obj, LazySolution{c.base, c.move});
   }
 
   // Adaptive-operator statistics (extension; no-op when disabled).
@@ -303,12 +304,13 @@ void SearchState::maybe_adapt_weights() {
                                      params_.batch_pricing);
 }
 
-bool SearchState::receive(const Solution& s) {
-  const bool stored = nondom_.try_add(s.objectives(), s);
+bool SearchState::receive(std::shared_ptr<const Solution> s) {
+  const Objectives obj = s->objectives();
+  const bool stored = nondom_.try_add(obj, LazySolution{std::move(s), {}});
   if (stored) {
     trace_.record_event(RunTrace::kTagReceive,
                         static_cast<std::uint64_t>(trace_id_),
-                        hash_objectives(s.objectives()));
+                        hash_objectives(obj));
   }
   return stored;
 }

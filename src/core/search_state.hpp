@@ -10,6 +10,12 @@
 // candidate sets are produced.  This guarantees the quality comparison in
 // the benchmarks measures the parallelization strategy, not divergent
 // reimplementations.
+//
+// Memory ownership (DESIGN.md §16): the current solution, every M_archive
+// member and every received solution are shared handles on immutable
+// Solutions, so storing one is a reference-count bump.  M_nondom members
+// are LazySolutions (base handle + move), built only when a restart takes
+// them.  A Solution reachable through a handle is never mutated.
 
 #include <atomic>
 #include <memory>
@@ -71,8 +77,13 @@ class SearchState {
   const NeighborhoodGenerator& generator() const noexcept {
     return generator_;
   }
-  const ParetoArchive<Solution>& archive() const noexcept { return archive_; }
-  const NondomMemory<Solution>& nondom() const noexcept { return nondom_; }
+  const ParetoArchive<std::shared_ptr<const Solution>>& archive()
+      const noexcept {
+    return archive_;
+  }
+  const NondomMemory<LazySolution>& nondom() const noexcept {
+    return nondom_;
+  }
   const TabuList& tabu() const noexcept { return tabu_; }
 
   /// Generates an evaluated candidate set of `count` neighbors of the
@@ -94,8 +105,9 @@ class SearchState {
 
   /// Multisearch reception (§III.E): "The process receiving the individual
   /// tries to store the solution in its memory of non-dominated solutions
-  /// M_nondom."  Returns true when stored.
-  bool receive(const Solution& s);
+  /// M_nondom."  Stores the sender's handle itself; returns true when
+  /// stored.
+  bool receive(std::shared_ptr<const Solution> s);
 
   /// True when this searcher would currently emit an improving solution —
   /// i.e. its last step added to the archive.
@@ -183,13 +195,16 @@ class SearchState {
 
  private:
   /// Select(N, M_tabulist): uniformly random among non-tabu members of the
-  /// non-dominated subset; nullopt when all are tabu (or the set is empty).
-  std::optional<std::size_t> select(const std::vector<Candidate>& candidates);
+  /// non-dominated subset `nd` (nondominated_indices of `candidates`);
+  /// nullopt when all are tabu (or the set is empty).
+  std::optional<std::size_t> select(const std::vector<Candidate>& candidates,
+                                    const std::vector<std::size_t>& nd);
 
   /// SelectFrom(M_nondom ∪ M_archive): random union member; M_nondom
-  /// entries are consumed.  Falls back to a fresh I1 construction when
-  /// both memories are empty (costs one evaluation).
-  Solution restart_pick();
+  /// entries are consumed (and built), M_archive members are shared.
+  /// Falls back to a fresh I1 construction when both memories are empty
+  /// (costs one evaluation).
+  std::shared_ptr<const Solution> restart_pick();
 
   /// Re-derives operator weights from selected/offered statistics when
   /// the adaptive extension is enabled.
@@ -209,8 +224,8 @@ class SearchState {
   MoveEngine engine_;
   NeighborhoodGenerator generator_;
   TabuList tabu_;
-  NondomMemory<Solution> nondom_;
-  ParetoArchive<Solution> archive_;
+  NondomMemory<LazySolution> nondom_;
+  ParetoArchive<std::shared_ptr<const Solution>> archive_;
   std::shared_ptr<const Solution> current_;
   RunTrace trace_;
   int trace_id_ = 0;

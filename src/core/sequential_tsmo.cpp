@@ -17,7 +17,7 @@ RunResult collect_result(const SearchState& state, std::string algorithm,
   r.algorithm = std::move(algorithm);
   for (const auto& e : state.archive().entries()) {
     r.front.push_back(e.obj);
-    r.solutions.push_back(e.value);
+    r.solutions.push_back(*e.value);
     r.attribution.push_back(state.attribution_for(e.obj));
   }
   r.evaluations = state.evaluations();

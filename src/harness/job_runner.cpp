@@ -23,6 +23,42 @@ namespace tsmo {
 
 namespace {
 
+/// Resource caps of one job, checked before any instance, distance matrix
+/// or thread exists.  A body over a cap fails the job with an error naming
+/// the field.  Every cap is far above the paper's settings (P <= 12,
+/// neighborhood 200, tenure 20, archive 20, restart 100).
+constexpr int kMaxJobCustomers = 1000;  ///< largest Homberger instances
+constexpr int kMaxJobVehicles = kMaxJobCustomers;  ///< one route each
+constexpr int kMaxJobProcessors = 64;
+
+/// Integer fields of "params" and their caps.  Each must lie in [0, max];
+/// TsmoParams::clamp then raises values below its floors as before.
+struct IntParam {
+  const char* field;
+  int TsmoParams::*member;
+  int max;
+};
+constexpr IntParam kIntParams[] = {
+    {"neighborhood", &TsmoParams::neighborhood_size, 10000},
+    {"tenure", &TsmoParams::tabu_tenure, 10000},
+    {"candidate_k", &TsmoParams::candidate_k, kMaxJobCustomers},
+    {"archive", &TsmoParams::archive_capacity, 1000},
+    {"restart_after", &TsmoParams::restart_after, 1000000},
+    {"profile_hz", &TsmoParams::profile_hz, 1000},
+};
+
+/// The integer at `v`, or an error naming `field` when outside [0, max].
+int bounded_int(const JsonValue& v, const std::string& field, int fallback,
+                int max) {
+  const std::int64_t x = v.as_int64(fallback);
+  if (x < 0 || x > max) {
+    throw std::invalid_argument(field + ": " + std::to_string(x) +
+                                " is outside [0, " + std::to_string(max) +
+                                "]");
+  }
+  return static_cast<int>(x);
+}
+
 /// Applies the "params" object onto paper-default TsmoParams.
 TsmoParams parse_params(const JsonValue* node) {
   TsmoParams p;
@@ -31,20 +67,11 @@ TsmoParams parse_params(const JsonValue* node) {
   if (const JsonValue* v = node->find("evaluations")) {
     p.max_evaluations = v->as_int64(p.max_evaluations);
   }
-  if (const JsonValue* v = node->find("neighborhood")) {
-    p.neighborhood_size = static_cast<int>(v->as_int64(p.neighborhood_size));
-  }
-  if (const JsonValue* v = node->find("tenure")) {
-    p.tabu_tenure = static_cast<int>(v->as_int64(p.tabu_tenure));
-  }
-  if (const JsonValue* v = node->find("candidate_k")) {
-    p.candidate_k = static_cast<int>(v->as_int64(p.candidate_k));
-  }
-  if (const JsonValue* v = node->find("archive")) {
-    p.archive_capacity = static_cast<int>(v->as_int64(p.archive_capacity));
-  }
-  if (const JsonValue* v = node->find("restart_after")) {
-    p.restart_after = static_cast<int>(v->as_int64(p.restart_after));
+  for (const IntParam& f : kIntParams) {
+    if (const JsonValue* v = node->find(f.field)) {
+      p.*f.member = bounded_int(*v, std::string("params.") + f.field,
+                                p.*f.member, f.max);
+    }
   }
   if (const JsonValue* v = node->find("seed")) {
     p.seed = static_cast<std::uint64_t>(v->as_int64(1));
@@ -57,9 +84,6 @@ TsmoParams parse_params(const JsonValue* node) {
   }
   if (const JsonValue* v = node->find("introspect")) {
     p.introspect = v->as_bool(p.introspect);
-  }
-  if (const JsonValue* v = node->find("profile_hz")) {
-    p.profile_hz = static_cast<int>(v->as_int64(p.profile_hz));
   }
   if (const JsonValue* v = node->find("screen"); v && v->is_string()) {
     const std::string& s = v->as_string();
@@ -135,20 +159,7 @@ obs::JobOutcome run_job_body(const std::string& body,
       return out;
     }
 
-    Instance inst = [&] {
-      if (const JsonValue* s = doc->find("solomon");
-          s != nullptr && s->is_string()) {
-        std::istringstream is(s->as_string());
-        return read_solomon(is);
-      }
-      const JsonValue* name = doc->find("instance");
-      if (name == nullptr || !name->is_string()) {
-        throw std::invalid_argument(
-            "job needs an \"instance\" or \"solomon\" string field");
-      }
-      return generate_named(name->as_string());
-    }();
-
+    // Every bounded field is read before the instance is built.
     TsmoParams params = parse_params(doc->find("params"));
     params.stop = ctx.cancel;
     // Causal trace plumbing (DESIGN.md §13): engine and worker spans
@@ -164,12 +175,39 @@ obs::JobOutcome run_job_body(const std::string& body,
     }
     int processors = 3;
     if (const JsonValue* p = doc->find("processors")) {
-      processors = std::max(1, static_cast<int>(p->as_int64(processors)));
+      processors = std::max(
+          1, bounded_int(*p, "processors", processors, kMaxJobProcessors));
     }
     bool include_routes = false;
     if (const JsonValue* r = doc->find("include_routes")) {
       include_routes = r->as_bool(false);
     }
+
+    Instance inst = [&] {
+      if (const JsonValue* s = doc->find("solomon");
+          s != nullptr && s->is_string()) {
+        std::istringstream is(s->as_string());
+        try {
+          return read_solomon(is, {kMaxJobCustomers, kMaxJobVehicles});
+        } catch (const std::exception& e) {
+          throw std::invalid_argument(std::string("solomon: ") + e.what());
+        }
+      }
+      const JsonValue* name = doc->find("instance");
+      if (name == nullptr || !name->is_string()) {
+        throw std::invalid_argument(
+            "job needs an \"instance\" or \"solomon\" string field");
+      }
+      const GeneratorConfig config = parse_instance_name(name->as_string());
+      if (config.num_customers > kMaxJobCustomers) {
+        throw std::invalid_argument(
+            "instance: " + name->as_string() + " has " +
+            std::to_string(config.num_customers) +
+            " customers, above the job cap of " +
+            std::to_string(kMaxJobCustomers));
+      }
+      return generate_instance(config);
+    }();
 
     // Per-job recorder: the live anytime front GET /jobs/<id> serves.
     // Observation only — fingerprints are identical with or without it.

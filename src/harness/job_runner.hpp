@@ -18,6 +18,9 @@
 //     }
 //   }
 //
+// Fields over the job caps (job_runner.cpp, DESIGN.md §12) fail the job
+// with an error naming the field, before anything is allocated.
+//
 // The parallel engines always run in deterministic mode here: a job's
 // result is a pure function of (instance, params, processors), never of
 // execution width, queue interleaving or concurrent load — which is what

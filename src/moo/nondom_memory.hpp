@@ -32,15 +32,6 @@ class NondomMemory {
   bool empty() const noexcept { return entries_.empty(); }
   const std::vector<Entry>& entries() const noexcept { return entries_; }
 
-  /// True when try_add(obj, ...) would store the candidate.  Lets callers
-  /// skip materializing solutions that would be rejected anyway.
-  bool would_add(const Objectives& obj) const {
-    for (const Entry& e : entries_) {
-      if (e.obj == obj || dominates(e.obj, obj)) return false;
-    }
-    return true;
-  }
-
   /// Inserts unless dominated by or identical to a member; evicts members
   /// the candidate dominates; drops the oldest entry when over capacity.
   /// Returns true when the candidate was stored.

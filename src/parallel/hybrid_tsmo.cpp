@@ -36,10 +36,12 @@ MultisearchResult HybridTsmo::run() const {
   const int procs = std::max(2, procs_per_island_);
   const auto n = static_cast<std::size_t>(k);
 
-  std::vector<std::unique_ptr<Channel<Solution>>> mailboxes;
+  std::vector<std::unique_ptr<Channel<std::shared_ptr<const Solution>>>>
+      mailboxes;
   mailboxes.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    mailboxes.push_back(std::make_unique<Channel<Solution>>());
+    mailboxes.push_back(
+        std::make_unique<Channel<std::shared_ptr<const Solution>>>());
     TSMO_TELEMETRY_ONLY(if (telemetry::enabled()) {
       mailboxes.back()->enable_telemetry("island" + std::to_string(i));
     })
@@ -137,7 +139,7 @@ MultisearchResult HybridTsmo::run() const {
       while (auto incoming = mailboxes[static_cast<std::size_t>(id)]
                                  ->try_pop()) {
         TSMO_COUNT("hybrid.messages_received");
-        if (state.receive(*incoming)) {
+        if (state.receive(std::move(*incoming))) {
           TSMO_COUNT("hybrid.messages_accepted");
           messages_accepted.fetch_add(1, std::memory_order_relaxed);
         }
@@ -196,8 +198,7 @@ MultisearchResult HybridTsmo::run() const {
         state.trace().record_event(
             RunTrace::kTagSend, static_cast<std::uint64_t>(target),
             hash_objectives(state.current()->objectives()));
-        mailboxes[static_cast<std::size_t>(target)]->push(
-            *state.current());
+        mailboxes[static_cast<std::size_t>(target)]->push(state.current());
         TSMO_COUNT("hybrid.messages_sent");
         messages_sent.fetch_add(1, std::memory_order_relaxed);
       }
@@ -260,8 +261,8 @@ MultisearchResult HybridTsmo::run_deterministic() const {
     Rng schedule{0};
     std::vector<Candidate> deferred;
     std::vector<int> comm;
-    std::vector<Solution> inbox;
-    std::vector<std::pair<int, Solution>> outbox;
+    std::vector<std::shared_ptr<const Solution>> inbox;
+    std::vector<std::pair<int, std::shared_ptr<const Solution>>> outbox;
     Timer local_timer;
     bool initial_phase = true;
     bool done = false;
@@ -321,9 +322,9 @@ MultisearchResult HybridTsmo::run_deterministic() const {
     Island& is = islands[static_cast<std::size_t>(id)];
     TSMO_SPAN("hybrid.iteration");
     TSMO_PROFILE_FRAME("hybrid.iteration");
-    for (const Solution& sol : is.inbox) {
+    for (std::shared_ptr<const Solution>& sol : is.inbox) {
       TSMO_COUNT("hybrid.messages_received");
-      if (is.state->receive(sol)) {
+      if (is.state->receive(std::move(sol))) {
         TSMO_COUNT("hybrid.messages_accepted");
         ++is.accepted;
       }
@@ -377,7 +378,7 @@ MultisearchResult HybridTsmo::run_deterministic() const {
       is.state->trace().record_event(
           RunTrace::kTagSend, static_cast<std::uint64_t>(target),
           hash_objectives(is.state->current()->objectives()));
-      is.outbox.emplace_back(target, *is.state->current());
+      is.outbox.emplace_back(target, is.state->current());
       TSMO_COUNT("hybrid.messages_sent");
       ++is.sent;
     }

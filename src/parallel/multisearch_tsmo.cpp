@@ -82,11 +82,14 @@ MultisearchResult MultisearchTsmo::run() const {
   const int procs = std::max(2, processors_);
   const auto n = static_cast<std::size_t>(procs);
 
-  // One mailbox per searcher; solutions are exchanged by value.
-  std::vector<std::unique_ptr<Channel<Solution>>> mailboxes;
+  // One mailbox per searcher; solutions travel as shared handles on
+  // immutable Solutions (DESIGN.md §16).
+  std::vector<std::unique_ptr<Channel<std::shared_ptr<const Solution>>>>
+      mailboxes;
   mailboxes.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    mailboxes.push_back(std::make_unique<Channel<Solution>>());
+    mailboxes.push_back(
+        std::make_unique<Channel<std::shared_ptr<const Solution>>>());
     TSMO_TELEMETRY_ONLY(if (telemetry::enabled()) {
       mailboxes.back()->enable_telemetry("mailbox" + std::to_string(i));
     })
@@ -141,7 +144,7 @@ MultisearchResult MultisearchTsmo::run() const {
       while (auto received = mailboxes[static_cast<std::size_t>(id)]
                                  ->try_pop()) {
         TSMO_COUNT("coll.messages_received");
-        if (state.receive(*received)) {
+        if (state.receive(std::move(*received))) {
           TSMO_COUNT("coll.messages_accepted");
           messages_accepted.fetch_add(1, std::memory_order_relaxed);
         }
@@ -165,7 +168,7 @@ MultisearchResult MultisearchTsmo::run() const {
         state.trace().record_event(
             RunTrace::kTagSend, static_cast<std::uint64_t>(target),
             hash_objectives(state.current()->objectives()));
-        mailboxes[static_cast<std::size_t>(target)]->push(*state.current());
+        mailboxes[static_cast<std::size_t>(target)]->push(state.current());
         TSMO_COUNT("coll.messages_sent");
         messages_sent.fetch_add(1, std::memory_order_relaxed);
       }
@@ -221,8 +224,8 @@ MultisearchResult MultisearchTsmo::run_deterministic() const {
     std::unique_ptr<SearchState> state;
     TsmoParams p;
     std::vector<int> comm;
-    std::vector<Solution> inbox;  ///< delivered between rounds
-    std::vector<std::pair<int, Solution>> outbox;
+    std::vector<std::shared_ptr<const Solution>> inbox;  ///< between rounds
+    std::vector<std::pair<int, std::shared_ptr<const Solution>>> outbox;
     Timer local_timer;
     bool initial_phase = true;
     bool done = false;
@@ -277,9 +280,9 @@ MultisearchResult MultisearchTsmo::run_deterministic() const {
     TSMO_SPAN("coll.iteration");
     TSMO_PROFILE_FRAME("coll.iteration");
     // Deliver peer solutions in the deterministic inter-round order.
-    for (const Solution& sol : s.inbox) {
+    for (std::shared_ptr<const Solution>& sol : s.inbox) {
       TSMO_COUNT("coll.messages_received");
-      if (s.state->receive(sol)) {
+      if (s.state->receive(std::move(sol))) {
         TSMO_COUNT("coll.messages_accepted");
         ++s.accepted;
       }
@@ -309,7 +312,7 @@ MultisearchResult MultisearchTsmo::run_deterministic() const {
       s.state->trace().record_event(
           RunTrace::kTagSend, static_cast<std::uint64_t>(target),
           hash_objectives(s.state->current()->objectives()));
-      s.outbox.emplace_back(target, *s.state->current());
+      s.outbox.emplace_back(target, s.state->current());
       TSMO_COUNT("coll.messages_sent");
       ++s.sent;
     }

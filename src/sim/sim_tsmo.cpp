@@ -423,7 +423,7 @@ MultisearchResult run_sim_multisearch(const Instance& inst,
     std::unique_ptr<SearchState> state;
     TsmoParams params;
     std::vector<int> comm;
-    std::vector<Solution> mailbox;
+    std::vector<std::shared_ptr<const Solution>> mailbox;
     bool initial_phase = true;
     double finish_time = 0.0;
     std::int64_t sent = 0;
@@ -457,9 +457,9 @@ MultisearchResult run_sim_multisearch(const Instance& inst,
       return;
     }
     double dt = 0.0;
-    for (Solution& incoming : s.mailbox) {
+    for (std::shared_ptr<const Solution>& incoming : s.mailbox) {
       dt += cost.msg_us;  // reception handling
-      if (s.state->receive(incoming)) ++messages_accepted;
+      if (s.state->receive(std::move(incoming))) ++messages_accepted;
     }
     s.mailbox.clear();
 
@@ -486,7 +486,7 @@ MultisearchResult run_sim_multisearch(const Instance& inst,
       std::rotate(s.comm.begin(), s.comm.begin() + 1, s.comm.end());
       dt += cost.msg_us + cost.transfer_solution_us;
       ++messages_sent;
-      Solution payload = *s.state->current();
+      std::shared_ptr<const Solution> payload = s.state->current();
       sim.schedule_after(dt + cost.msg_us,
                          [&, target, payload = std::move(payload)] {
                            searchers[static_cast<std::size_t>(target)]
@@ -534,7 +534,7 @@ MultisearchResult run_sim_hybrid(const Instance& inst,
     std::unique_ptr<AsyncSimCore> core;
     TsmoParams params;
     std::vector<int> comm;
-    std::vector<Solution> mailbox;
+    std::vector<std::shared_ptr<const Solution>> mailbox;
     bool initial_phase = true;
     double finish_time = 0.0;
   };
@@ -565,9 +565,11 @@ MultisearchResult run_sim_hybrid(const Instance& inst,
       return;
     }
     double extra = 0.0;
-    for (Solution& incoming : isl.mailbox) {
+    for (std::shared_ptr<const Solution>& incoming : isl.mailbox) {
       extra += cost.msg_us;
-      if (isl.core->state().receive(incoming)) ++messages_accepted;
+      if (isl.core->state().receive(std::move(incoming))) {
+        ++messages_accepted;
+      }
     }
     isl.mailbox.clear();
 
@@ -588,7 +590,7 @@ MultisearchResult run_sim_hybrid(const Instance& inst,
       std::rotate(isl.comm.begin(), isl.comm.begin() + 1, isl.comm.end());
       end += cost.msg_us + cost.transfer_solution_us;
       ++messages_sent;
-      Solution payload = *isl.core->state().current();
+      std::shared_ptr<const Solution> payload = isl.core->state().current();
       sim.schedule_at(end + cost.msg_us,
                       [&, target, payload = std::move(payload)] {
                         nodes[static_cast<std::size_t>(target)]

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace tsmo {
 
@@ -150,6 +151,11 @@ std::int64_t JsonValue::as_int64(std::int64_t fallback) const noexcept {
     const long long v = std::strtoll(string_.c_str(), &end, 10);
     if (end != string_.c_str() && errno == 0) return v;
   }
+  // 2^63 is exact as a double; casting anything outside [-2^63, 2^63) is
+  // undefined, so out-of-range numbers saturate instead.
+  constexpr double kTwo63 = 9223372036854775808.0;
+  if (number_ >= kTwo63) return std::numeric_limits<std::int64_t>::max();
+  if (number_ < -kTwo63) return std::numeric_limits<std::int64_t>::min();
   return static_cast<std::int64_t>(number_);
 }
 

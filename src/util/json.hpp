@@ -80,7 +80,8 @@ class JsonValue {
     return is_number() ? number_ : fallback;
   }
   /// Exact for integers the input spelled without fraction/exponent (the
-  /// raw token is re-parsed); otherwise the double is truncated.
+  /// raw token is re-parsed); otherwise the double is truncated.  Values
+  /// beyond the int64 range saturate at its ends.
   std::int64_t as_int64(std::int64_t fallback = 0) const noexcept;
   const std::string& as_string() const noexcept { return string_; }
 

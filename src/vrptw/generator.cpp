@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -238,6 +239,10 @@ GeneratorConfig parse_instance_name(const std::string& name) {
   }
   if (hundreds < 1 || ordinal < 1) {
     throw std::invalid_argument("parse_instance_name: nonpositive fields in " +
+                                name);
+  }
+  if (hundreds > std::numeric_limits<int>::max() / 100) {
+    throw std::invalid_argument("parse_instance_name: size too large in " +
                                 name);
   }
   cfg.num_customers = 100 * hundreds;

@@ -1,5 +1,6 @@
 #include "vrptw/solomon_io.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -31,7 +32,7 @@ bool numeric_row(const std::string& line, std::vector<double>& out) {
 
 }  // namespace
 
-Instance read_solomon(std::istream& is) {
+Instance read_solomon(std::istream& is, const SolomonLimits& limits) {
   std::string name;
   std::string line;
   std::vector<double> nums;
@@ -50,16 +51,26 @@ Instance read_solomon(std::istream& is) {
   }
 
   // First 2-number row is "<vehicles> <capacity>".
-  int max_vehicles = -1;
+  bool have_vehicle_row = false;
+  int max_vehicles = 0;
   double capacity = -1.0;
   while (std::getline(is, line)) {
     if (numeric_row(line, nums) && nums.size() == 2) {
-      max_vehicles = static_cast<int>(nums[0]);
+      // Range-check before converting: a double outside int's range does
+      // not convert.
+      const double v = nums[0];
+      if (!(v >= 1.0 && v <= limits.max_vehicles) || v != std::floor(v)) {
+        throw std::runtime_error(
+            "read_solomon: VEHICLE number must be an integer in [1, " +
+            std::to_string(limits.max_vehicles) + "], got line: " + line);
+      }
+      max_vehicles = static_cast<int>(v);
       capacity = nums[1];
+      have_vehicle_row = true;
       break;
     }
   }
-  if (max_vehicles < 0) {
+  if (!have_vehicle_row) {
     throw std::runtime_error("read_solomon: missing VEHICLE row");
   }
 
@@ -71,10 +82,15 @@ Instance read_solomon(std::istream& is) {
       throw std::runtime_error(
           "read_solomon: customer row must have 7 fields, got line: " + line);
     }
-    const int id = static_cast<int>(nums[0]);
-    if (id != static_cast<int>(sites.size())) {
+    if (nums[0] != static_cast<double>(sites.size())) {
       throw std::runtime_error(
           "read_solomon: customer ids must be consecutive from 0");
+    }
+    // sites[0] is the depot, so this row would be customer sites.size().
+    if (sites.size() > static_cast<std::size_t>(limits.max_customers)) {
+      throw std::runtime_error("read_solomon: more than " +
+                               std::to_string(limits.max_customers) +
+                               " customers");
     }
     sites.push_back(Site{nums[1], nums[2], nums[3], nums[4], nums[5],
                          nums[6]});

@@ -18,15 +18,24 @@
 // extended Solomon benchmark (used in the paper's §IV) is distributed in.
 
 #include <iosfwd>
+#include <limits>
 #include <string>
 
 #include "vrptw/instance.hpp"
 
 namespace tsmo {
 
+/// Bounds read_solomon checks while it parses, before the instance and its
+/// distance matrix exist.  The defaults admit every well-formed file.
+struct SolomonLimits {
+  int max_customers = std::numeric_limits<int>::max();
+  int max_vehicles = std::numeric_limits<int>::max();
+};
+
 /// Parses an instance from a stream.  Throws std::runtime_error with a
-/// line-oriented diagnostic on malformed input.
-Instance read_solomon(std::istream& is);
+/// line-oriented diagnostic on malformed input, and when the file declares
+/// more customers or vehicles than `limits` allow.
+Instance read_solomon(std::istream& is, const SolomonLimits& limits = {});
 
 /// Parses an instance from a file path.
 Instance read_solomon_file(const std::string& path);

@@ -160,8 +160,10 @@ TEST(ParseInstanceName, ClassesDecorrelated) {
 }
 
 TEST(ParseInstanceName, RejectsMalformedNames) {
+  // R1_21474837_1: 100 × size would overflow int.
   for (const char* bad : {"X1_4_1", "R3_4_1", "R1-4-1", "R1_4", "R1_a_1",
-                          "R1_4_x", "R1_0_1", "R1_4_0", ""}) {
+                          "R1_4_x", "R1_0_1", "R1_4_0", "R1_21474837_1",
+                          ""}) {
     EXPECT_THROW(parse_instance_name(bad), std::invalid_argument) << bad;
   }
 }

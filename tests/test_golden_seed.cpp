@@ -3,15 +3,31 @@
 // a pure function of (params, logical processors) — in particular identical
 // across 1/2/4 execution threads for the deterministic parallel modes.
 //
+// The values themselves are pinned in tests/golden/golden_seed_fingerprints.txt
+// (sorted "<key> <hex>" lines): a changed value, a checked key the file
+// lacks, or a pinned key no test checks fails the suite.  The last check
+// needs every test of this binary in one process; ctest runs the binary
+// whole as GoldenSeedPinned.AllKeysChecked.
+//
 // When the environment variable TSMO_GOLDEN_OUT names a file, every
 // asserted fingerprint is appended to it ("<key> <hex>"), so CI can upload
-// the values as an artifact and diff them across runs and platforms.
+// the values as an artifact and diff them across runs and platforms.  A
+// change that is meant to move the search regenerates the pinned file:
+//
+//   rm -f /tmp/g.txt
+//   TSMO_GOLDEN_OUT=/tmp/g.txt ./build/tests/test_golden_seed
+//   sort /tmp/g.txt > tests/golden/golden_seed_fingerprints.txt
+//
+// and says in its change notes why every fingerprint moved.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <fstream>
+#include <map>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -61,8 +77,62 @@ void export_fingerprint(const std::string& key, std::uint64_t fp) {
   out << key << " " << std::hex << fp << std::dec << "\n";
 }
 
+/// The pinned fingerprints, keyed like the export.
+const std::map<std::string, std::uint64_t>& pinned() {
+  static const std::map<std::string, std::uint64_t> values = [] {
+    std::map<std::string, std::uint64_t> out;
+    std::ifstream in(TSMO_GOLDEN_PINNED);
+    std::string line;
+    while (std::getline(in, line)) {
+      std::istringstream fields(line);
+      std::string key;
+      std::uint64_t fp = 0;
+      if (fields >> key >> std::hex >> fp) out[key] = fp;
+    }
+    return out;
+  }();
+  return values;
+}
+
+/// Keys checked against the pinned file in this process.
+std::set<std::string>& checked_keys() {
+  static std::set<std::string> keys;
+  return keys;
+}
+
+void expect_pinned(const std::string& key, std::uint64_t fp) {
+  export_fingerprint(key, fp);
+  checked_keys().insert(key);
+  const auto it = pinned().find(key);
+  if (it == pinned().end()) {
+    ADD_FAILURE() << key << " " << std::hex << fp
+                  << " is not in " TSMO_GOLDEN_PINNED;
+    return;
+  }
+  EXPECT_EQ(it->second, fp)
+      << key << " changed: pinned " << std::hex << it->second << ", got "
+      << fp;
+}
+
+/// After a whole-binary run, every pinned key must have been checked.
+class PinnedKeysEnvironment : public ::testing::Environment {
+ public:
+  void TearDown() override {
+    const auto& unit = *::testing::UnitTest::GetInstance();
+    if (unit.test_to_run_count() != unit.total_test_count()) return;
+    EXPECT_FALSE(pinned().empty()) << "no fingerprints in " TSMO_GOLDEN_PINNED;
+    for (const auto& [key, fp] : pinned()) {
+      EXPECT_EQ(checked_keys().count(key), 1u)
+          << key << " is pinned but no test checks it";
+    }
+  }
+};
+
+const auto* const kPinnedKeysEnvironment =
+    ::testing::AddGlobalTestEnvironment(new PinnedKeysEnvironment);
+
 /// Asserts that all runs of one configuration agree on both fingerprints
-/// and exports the common value.
+/// and that the common values are the pinned ones.
 void expect_identical(const std::vector<RunResult>& runs,
                       const std::string& key) {
   ASSERT_FALSE(runs.empty());
@@ -76,8 +146,8 @@ void expect_identical(const std::vector<RunResult>& runs,
     EXPECT_EQ(r.evaluations, runs.front().evaluations) << key;
     EXPECT_EQ(r.iterations, runs.front().iterations) << key;
   }
-  export_fingerprint(key + ".trace", runs.front().trace_fingerprint);
-  export_fingerprint(key + ".archive", runs.front().archive_fingerprint);
+  expect_pinned(key + ".trace", runs.front().trace_fingerprint);
+  expect_pinned(key + ".archive", runs.front().archive_fingerprint);
 }
 
 class GoldenSeedTest : public ::testing::Test {

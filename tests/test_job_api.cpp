@@ -210,6 +210,78 @@ TEST(JobApi, BadJobParametersFailTheJobNotTheServer) {
   ASSERT_TRUE(wait_for_state(svc, id_of(body), "done"));
 }
 
+/// Submits `body`, waits for the job to end and returns its status body.
+std::string finished_status(JobService& svc, const std::string& body) {
+  std::string out;
+  EXPECT_EQ(svc.request("POST", "/jobs", body, out), 202) << out;
+  const std::string id = id_of(out);
+  EXPECT_TRUE(wait_for_state(svc, id, ""));
+  EXPECT_EQ(svc.request("GET", "/jobs/" + id, "", out), 200);
+  return out;
+}
+
+/// A Solomon body: `customers` rows after the depot, fleet `vehicles`.
+std::string solomon_body(int customers, const std::string& vehicles) {
+  std::ostringstream text;
+  text << "BIG\n\nVEHICLE\nNUMBER CAPACITY\n" << vehicles << " 200\n\n";
+  text << "CUSTOMER\n0 50 50 0 0 1000 0\n";
+  for (int i = 1; i <= customers; ++i) {
+    text << i << " " << i % 97 << " " << i % 89 << " 1 0 1000 1\n";
+  }
+  std::ostringstream os;
+  os << "{\"solomon\": \"" << JsonWriter::escape(text.str())
+     << "\", \"params\": {\"evaluations\": 200}}";
+  return os.str();
+}
+
+TEST(JobApi, OversizedInputsFailTheJobNamingTheField) {
+  JobService svc;
+  const auto expect_failed = [&](const std::string& body,
+                                 const std::string& error) {
+    const std::string status = finished_status(svc, body);
+    EXPECT_NE(status.find("\"state\": \"failed\""), std::string::npos)
+        << body << " -> " << status;
+    EXPECT_NE(status.find(error), std::string::npos)
+        << body << " -> " << status;
+  };
+  // Would start 99 999 worker threads.
+  expect_failed(
+      "{\"instance\": \"R1_1_1\", \"algorithm\": \"sync\", "
+      "\"processors\": 100000}",
+      "processors: 100000 is outside [0, 64]");
+  // 4294967496 is 200 after a silent int truncation.
+  for (const char* field : {"neighborhood", "tenure", "archive",
+                            "restart_after", "candidate_k"}) {
+    expect_failed(std::string("{\"instance\": \"R1_1_1\", \"params\": "
+                              "{\"") +
+                      field + "\": 4294967496}}",
+                  std::string("params.") + field + ": 4294967496 is outside");
+  }
+  expect_failed(
+      "{\"instance\": \"R1_1_1\", \"params\": {\"neighborhood\": 1e300}}",
+      "params.neighborhood: 9223372036854775807 is outside");
+  // 200 000 customers: a 320 GB distance matrix.
+  expect_failed("{\"instance\": \"R1_2000_1\"}",
+                "instance: R1_2000_1 has 200000 customers, above the job "
+                "cap of 1000");
+  expect_failed(solomon_body(1001, "25"),
+                "solomon: read_solomon: more than 1000 customers");
+  expect_failed(solomon_body(10, "1e30"), "solomon: read_solomon: VEHICLE");
+  expect_failed(solomon_body(10, "1001"), "solomon: read_solomon: VEHICLE");
+
+  // The largest admitted inputs still run.
+  std::string status = finished_status(
+      svc,
+      "{\"instance\": \"R1_10_1\", \"algorithm\": \"sync\", "
+      "\"processors\": 4, \"params\": {\"evaluations\": 400, "
+      "\"candidate_k\": 16}}");
+  EXPECT_NE(status.find("\"state\": \"done\""), std::string::npos)
+      << status;
+  status = finished_status(svc, solomon_body(1000, "1000"));
+  EXPECT_NE(status.find("\"state\": \"done\""), std::string::npos)
+      << status;
+}
+
 TEST(JobApi, UnknownIdsGet404) {
   JobService svc;
   std::string body;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "core/sequential_tsmo.hpp"
@@ -161,6 +162,20 @@ TEST(JsonParse, Int64StaysExactAboveDoublePrecision) {
   const auto frac = json_parse("[2.9]");
   ASSERT_NE(frac, nullptr);
   EXPECT_EQ(frac->items()[0].as_int64(), 2);
+}
+
+TEST(JsonParse, Int64SaturatesOutsideItsRange) {
+  const auto doc =
+      json_parse("[1e300, -1e300, 99999999999999999999, "
+                 "-99999999999999999999, 1e999]");
+  ASSERT_NE(doc, nullptr);
+  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+  EXPECT_EQ(doc->items()[0].as_int64(), kMax);
+  EXPECT_EQ(doc->items()[1].as_int64(), kMin);
+  EXPECT_EQ(doc->items()[2].as_int64(), kMax);
+  EXPECT_EQ(doc->items()[3].as_int64(), kMin);
+  EXPECT_EQ(doc->items()[4].as_int64(), kMax);
 }
 
 TEST(JsonParse, StringEscapesRoundTripThroughWriter) {

@@ -35,18 +35,6 @@ TEST(NondomMemory, EvictsDominatedMembers) {
   EXPECT_EQ(m.entries()[0].value, 2);
 }
 
-TEST(NondomMemory, WouldAddPredictsTryAdd) {
-  Rng rng(3);
-  NondomMemory<int> m(6);
-  for (int i = 0; i < 300; ++i) {
-    const Objectives o = obj(rng.uniform(0, 10),
-                             static_cast<int>(rng.uniform_int(0, 4)),
-                             rng.uniform(0, 10));
-    const bool predicted = m.would_add(o);
-    EXPECT_EQ(predicted, m.try_add(o, i));
-  }
-}
-
 TEST(NondomMemory, FifoAgingOverCapacity) {
   NondomMemory<int> m(2);
   // Mutually non-dominated trio.
@@ -78,7 +66,7 @@ TEST(NondomMemory, ClearEmpties) {
   m.try_add(obj(1, 1, 1), 0);
   m.clear();
   EXPECT_TRUE(m.empty());
-  EXPECT_TRUE(m.would_add(obj(1, 1, 1)));
+  EXPECT_TRUE(m.try_add(obj(1, 1, 1), 1));
 }
 
 TEST(NondomMemory, InvariantMutuallyNonDominated) {

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "vrptw/generator.hpp"
 
 namespace tsmo {
@@ -151,7 +157,7 @@ TEST_F(SearchStateTest, ReceiveStoresIntoNondomMemory) {
   SearchState other(inst_, small_params(), Rng(8));
   other.initialize();
   const std::size_t before = st.nondom().size();
-  const bool stored = st.receive(*other.current());
+  const bool stored = st.receive(other.current());
   if (stored) {
     EXPECT_EQ(st.nondom().size(), before + 1);
   } else {
@@ -159,8 +165,146 @@ TEST_F(SearchStateTest, ReceiveStoresIntoNondomMemory) {
   }
   // Receiving the identical solution again must be rejected.
   if (stored) {
-    EXPECT_FALSE(st.receive(*other.current()));
+    EXPECT_FALSE(st.receive(other.current()));
   }
+}
+
+/// Routes and objectives of `a` and `b` are bitwise equal.
+void expect_same_solution(const Solution& a, const Solution& b) {
+  ASSERT_EQ(a.num_routes(), b.num_routes());
+  for (int r = 0; r < a.num_routes(); ++r) {
+    EXPECT_EQ(a.route(r), b.route(r)) << "route " << r;
+  }
+  const Objectives& x = a.objectives();
+  const Objectives& y = b.objectives();
+  EXPECT_EQ(std::memcmp(&x.distance, &y.distance, sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(&x.tardiness, &y.tardiness, sizeof(double)), 0);
+  EXPECT_EQ(x.vehicles, y.vehicles);
+}
+
+TEST_F(SearchStateTest, ArchiveStoresTheCurrentHandle) {
+  SearchState st(inst_, small_params(), Rng(12));
+  st.initialize();
+  EXPECT_EQ(st.archive().entries().back().value, st.current());
+  bool checked = false;
+  for (int i = 0; i < 40 && !checked; ++i) {
+    const auto out = st.step_with_candidates(st.generate_candidates(30));
+    if (out.selected && out.archive_improved) {
+      // Newest member: the accepted solution itself, not a copy.
+      EXPECT_EQ(st.archive().entries().back().value.get(),
+                st.current().get());
+      checked = true;
+    }
+  }
+  EXPECT_TRUE(checked) << "no accepted step improved the archive";
+}
+
+TEST_F(SearchStateTest, NondomEntriesHoldTheirCandidateBase) {
+  SearchState st(inst_, small_params(), Rng(13));
+  st.initialize();
+  // Step until M_nondom first fills: every entry then comes from that
+  // step's candidate set.
+  std::vector<Candidate> candidates;
+  for (int i = 0; i < 40 && st.nondom().empty(); ++i) {
+    candidates = st.generate_candidates(40);
+    st.step_with_candidates(candidates);
+  }
+  ASSERT_FALSE(st.nondom().empty());
+  for (const auto& e : st.nondom().entries()) {
+    // The base is the shared handle the candidates were generated from.
+    EXPECT_EQ(e.value.base.get(), candidates.front().base.get());
+    ASSERT_TRUE(e.value.move.has_value());
+    bool from_candidate = false;
+    for (const Candidate& c : candidates) {
+      from_candidate |= c.move == *e.value.move && c.obj == e.obj;
+    }
+    EXPECT_TRUE(from_candidate);
+  }
+}
+
+TEST_F(SearchStateTest, RestartBuildsLazyEntryLikeMaterialize) {
+  TsmoParams p = small_params();
+  p.restart_after = 1000;    // only the forced restarts below
+  p.nondom_capacity = 1000;  // keep old entries around
+  SearchState st(inst_, p, Rng(14));
+  st.initialize();
+  // Every candidate generated, with the step that generated it.
+  std::vector<std::pair<int, Candidate>> generated;
+  const int steps = 40;
+  for (int i = 0; i < steps; ++i) {
+    const auto candidates = st.generate_candidates(30);
+    for (const Candidate& c : candidates) generated.emplace_back(i, c);
+    st.step_with_candidates(candidates);
+  }
+  const auto same_entry = [](const LazySolution& a, const LazySolution& b) {
+    return a.base == b.base && a.move == b.move;
+  };
+  int taken = 0;
+  int oldest_age = 0;
+  // Empty candidate sets force restarts; each draws from M_nondom or
+  // M_archive and adds nothing new to M_nondom.
+  for (int i = 0; i < 2000 && !st.nondom().empty(); ++i) {
+    const auto before = st.nondom().entries();
+    st.step_with_candidates({});
+    if (st.nondom().size() == before.size()) continue;  // archive pick
+    ASSERT_EQ(st.nondom().size() + 1, before.size());
+    // The consumed entry is the one no longer present.
+    const auto consumed = std::find_if(
+        before.begin(), before.end(), [&](const auto& e) {
+          return std::none_of(
+              st.nondom().entries().begin(), st.nondom().entries().end(),
+              [&](const auto& f) { return same_entry(e.value, f.value); });
+        });
+    ASSERT_NE(consumed, before.end());
+    const auto origin = std::find_if(
+        generated.begin(), generated.end(), [&](const auto& g) {
+          return same_entry(consumed->value,
+                            LazySolution{g.second.base, g.second.move});
+        });
+    ASSERT_NE(origin, generated.end());
+    const Candidate& c = origin->second;
+    expect_same_solution(*st.current(), materialize(st.engine(), c));
+    EXPECT_EQ(st.current()->objectives(), c.obj);
+    EXPECT_NO_THROW(st.current()->validate());
+    oldest_age = std::max(oldest_age, steps - origin->first);
+    ++taken;
+  }
+  EXPECT_GT(taken, 0);
+  // Some checked entry had a base that stopped being current long ago.
+  EXPECT_GE(oldest_age, 10);
+}
+
+TEST_F(SearchStateTest, ReceiveStoresTheSendersHandle) {
+  SearchState st(inst_, small_params(), Rng(15));
+  st.initialize();
+  ASSERT_TRUE(st.nondom().empty());
+  // Two candidate solutions where one dominates the other.
+  SearchState other(inst_, small_params(), Rng(16));
+  other.initialize();
+  const auto candidates = other.generate_candidates(40);
+  const Candidate* better = nullptr;
+  const Candidate* worse = nullptr;
+  for (const Candidate& a : candidates) {
+    for (const Candidate& b : candidates) {
+      if (!better && dominates(a.obj, b.obj)) {
+        better = &a;
+        worse = &b;
+      }
+    }
+  }
+  ASSERT_NE(better, nullptr) << "no dominated pair among the candidates";
+  const auto sent = std::make_shared<const Solution>(
+      materialize(other.engine(), *better));
+  ASSERT_TRUE(st.receive(sent));
+  ASSERT_EQ(st.nondom().size(), 1u);
+  EXPECT_EQ(st.nondom().entries().front().value.base.get(), sent.get());
+  EXPECT_FALSE(st.nondom().entries().front().value.move.has_value());
+  // Duplicate and dominated solutions are still rejected.
+  EXPECT_FALSE(st.receive(sent));
+  EXPECT_FALSE(st.receive(std::make_shared<const Solution>(*sent)));
+  EXPECT_FALSE(st.receive(std::make_shared<const Solution>(
+      materialize(other.engine(), *worse))));
+  EXPECT_EQ(st.nondom().size(), 1u);
 }
 
 TEST_F(SearchStateTest, BudgetExhaustionFlag) {

@@ -91,6 +91,32 @@ TEST(SolomonIo, NoCustomersThrows) {
   EXPECT_THROW(read_solomon(is), std::runtime_error);
 }
 
+TEST(SolomonIo, VehicleNumberOutsideIntRangeThrows) {
+  // Converting these to int would be undefined; the parser rejects them.
+  for (const char* vehicles : {"1e30", "-5", "0", "2.5", "nan", "inf"}) {
+    std::istringstream is(std::string("N\n ") + vehicles +
+                          " 100\n 0 0 0 0 0 100 0\n 1 1 1 1 0 10 0\n");
+    EXPECT_THROW(read_solomon(is), std::runtime_error) << vehicles;
+  }
+}
+
+TEST(SolomonIo, CustomerIdOutsideIntRangeThrows) {
+  std::istringstream is(
+      "N\n 5 100\n 0 0 0 0 0 100 0\n 1e30 1 1 1 0 10 0\n");
+  EXPECT_THROW(read_solomon(is), std::runtime_error);
+}
+
+TEST(SolomonIo, LimitsBoundCustomersAndVehicles) {
+  // kSampleText: 2 customers, 25 vehicles.
+  std::istringstream at_limits(kSampleText);
+  EXPECT_EQ(read_solomon(at_limits, {2, 25}).num_customers(), 2);
+  std::istringstream too_many_customers(kSampleText);
+  EXPECT_THROW(read_solomon(too_many_customers, {1, 25}),
+               std::runtime_error);
+  std::istringstream too_many_vehicles(kSampleText);
+  EXPECT_THROW(read_solomon(too_many_vehicles, {2, 24}), std::runtime_error);
+}
+
 TEST(SolomonIo, MissingFileThrows) {
   EXPECT_THROW(read_solomon_file("/nonexistent/path/foo.txt"),
                std::runtime_error);
