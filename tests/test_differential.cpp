@@ -17,6 +17,13 @@ struct Case {
   std::uint64_t seed;
 };
 
+// gtest would otherwise print a Case as its raw bytes, which include the
+// ASLR-randomised address of `instance`, and ctest names each case after
+// that printout — so the test names would change from build to build.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << c.instance << " seed " << c.seed;
+}
+
 class Differential : public ::testing::TestWithParam<Case> {};
 
 TEST_P(Differential, SimSequentialEqualsDirect) {
