@@ -114,32 +114,24 @@ int main() {
 
   struct EngineRun {
     const char* name;
-    std::function<RunResult(ConvergenceRecorder&)> run;
+    std::function<RunResult(const RunContext&)> run;
   };
   const std::vector<EngineRun> engines = {
       {"sync",
-       [&](ConvergenceRecorder& rec) {
-         SyncOptions o;
-         o.recorder = &rec;
-         return SyncTsmo(inst, hp, 4, o).run();
+       [&](const RunContext& ctx) {
+         return SyncTsmo(inst, hp, 4, {}, ctx).run();
        }},
       {"async",
-       [&](ConvergenceRecorder& rec) {
-         AsyncOptions o;
-         o.recorder = &rec;
-         return AsyncTsmo(inst, hp, 4, o).run();
+       [&](const RunContext& ctx) {
+         return AsyncTsmo(inst, hp, 4, {}, ctx).run();
        }},
       {"coll",
-       [&](ConvergenceRecorder& rec) {
-         MultisearchOptions o;
-         o.recorder = &rec;
-         return MultisearchTsmo(inst, hp, 4, o).run().merged;
+       [&](const RunContext& ctx) {
+         return MultisearchTsmo(inst, hp, 4, {}, ctx).run().merged;
        }},
       {"hybrid",
-       [&](ConvergenceRecorder& rec) {
-         HybridOptions o;
-         o.recorder = &rec;
-         return HybridTsmo(inst, hp, 2, 2, o).run().merged;
+       [&](const RunContext& ctx) {
+         return HybridTsmo(inst, hp, 2, 2, {}, ctx).run().merged;
        }}};
 
   TextTable hv_table({"engine", "samples", "hv @25%", "@50%", "@75%",
@@ -151,7 +143,9 @@ int main() {
   }
   for (const EngineRun& e : engines) {
     ConvergenceRecorder rec(cc);
-    const RunResult r = e.run(rec);
+    RunContext ctx;
+    ctx.recorder = &rec;
+    const RunResult r = e.run(ctx);
     rec.finalize(r.front);
     const auto& samples = rec.samples();
     if (samples.empty()) continue;

@@ -40,12 +40,13 @@ int main() {
 
   std::vector<SimAsyncIterationEvent> events;
   SimAsyncOptions options;
-  options.recorder = &recorder;
   options.observer = [&](const SimAsyncIterationEvent& ev) {
     events.push_back(ev);
   };
+  RunContext ctx;
+  ctx.recorder = &recorder;
   const RunResult result =
-      run_sim_async(inst, params, /*processors=*/3, cost, options);
+      run_sim_async(inst, params, /*processors=*/3, cost, options, ctx);
   recorder.finalize(result.front);
 
   std::cout << "Fig. 1 -- asynchronous TS trajectory on " << inst.name()

@@ -15,6 +15,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <thread>
 
 #include <unistd.h>
@@ -30,6 +31,7 @@
 #include "harness/plot.hpp"
 #include "harness/report.hpp"
 #include "moo/anytime.hpp"
+#include "moo/introspect.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/job_manager.hpp"
 #include "obs/obs_server.hpp"
@@ -84,45 +86,29 @@ void install_stop_signals() {
   sigaction(SIGTERM, &sa, nullptr);
 }
 
-/// Recorder/watchdog knobs forwarded into the engine option structs.
-/// The recorder covers the four TSMO engines (threaded) plus the
-/// simulated asynchronous master; other algorithms ignore it.
-struct ObserveOptions {
-  ConvergenceRecorder* recorder = nullptr;
-  bool stall_restart = false;
-};
-
+/// Runs one algorithm.  The TSMO engines, threaded and simulated, all take
+/// the run context; the comparators ignore it.
 RunResult solve(const std::string& algorithm, const Instance& inst,
                 const TsmoParams& params, int processors, bool simulate,
-                const ObserveOptions& observe = {}) {
+                const RunContext& ctx) {
   const CostModel cost = CostModel::for_instance(inst);
   if (algorithm == "seq") {
-    return simulate ? run_sim_sequential(inst, params, cost)
-                    : SequentialTsmo(inst, params).run();
+    return simulate ? run_sim_sequential(inst, params, cost, ctx)
+                    : SequentialTsmo(inst, params, ctx).run();
   }
   if (algorithm == "sync") {
-    SyncOptions so;
-    so.recorder = observe.recorder;
-    return simulate ? run_sim_sync(inst, params, processors, cost)
-                    : SyncTsmo(inst, params, processors, so).run();
+    return simulate ? run_sim_sync(inst, params, processors, cost, ctx)
+                    : SyncTsmo(inst, params, processors, {}, ctx).run();
   }
   if (algorithm == "async") {
-    if (simulate) {
-      SimAsyncOptions sa;
-      sa.recorder = observe.recorder;
-      return run_sim_async(inst, params, processors, cost, std::move(sa));
-    }
-    AsyncOptions ao;
-    ao.recorder = observe.recorder;
-    ao.stall_restart = observe.stall_restart;
-    return AsyncTsmo(inst, params, processors, ao).run();
+    return simulate
+               ? run_sim_async(inst, params, processors, cost, {}, ctx)
+               : AsyncTsmo(inst, params, processors, {}, ctx).run();
   }
   if (algorithm == "coll") {
-    MultisearchOptions mo;
-    mo.recorder = observe.recorder;
     MultisearchResult r =
-        simulate ? run_sim_multisearch(inst, params, processors, cost)
-                 : MultisearchTsmo(inst, params, processors, mo).run();
+        simulate ? run_sim_multisearch(inst, params, processors, cost, ctx)
+                 : MultisearchTsmo(inst, params, processors, {}, ctx).run();
     for (const RunResult& s : r.per_searcher) {
       r.merged.sim_seconds = std::max(r.merged.sim_seconds, s.sim_seconds);
     }
@@ -130,12 +116,9 @@ RunResult solve(const std::string& algorithm, const Instance& inst,
   }
   if (algorithm == "hybrid") {
     const int per_island = std::max(2, processors / 2);
-    HybridOptions ho;
-    ho.recorder = observe.recorder;
-    ho.stall_restart = observe.stall_restart;
     MultisearchResult r =
-        simulate ? run_sim_hybrid(inst, params, 2, per_island, cost)
-                 : HybridTsmo(inst, params, 2, per_island, ho).run();
+        simulate ? run_sim_hybrid(inst, params, 2, per_island, cost, ctx)
+                 : HybridTsmo(inst, params, 2, per_island, {}, ctx).run();
     for (const RunResult& s : r.per_searcher) {
       r.merged.sim_seconds = std::max(r.merged.sim_seconds, s.sim_seconds);
     }
@@ -397,7 +380,6 @@ int main(int argc, char** argv) {
 
     const Instance inst = load_instance(cli.get("instance"));
     TsmoParams params;
-    params.flight_slots = flight_slots;
     params.max_evaluations = cli.get_int("evaluations");
     params.neighborhood_size = static_cast<int>(cli.get_int("neighborhood"));
     params.tabu_tenure = static_cast<int>(cli.get_int("tenure"));
@@ -406,8 +388,6 @@ int main(int argc, char** argv) {
     params.archive_capacity = static_cast<int>(cli.get_int("archive"));
     params.restart_after = static_cast<int>(cli.get_int("restart-after"));
     params.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-    params.profile_hz = static_cast<int>(cli.get_int("profile-hz"));
-    params.introspect = cli.flag("introspect");
     const std::string screen = cli.get("screen");
     params.feasibility_screen =
         screen == "capacity" ? FeasibilityScreen::CapacityOnly
@@ -418,37 +398,41 @@ int main(int argc, char** argv) {
       params.telemetry = true;
       telemetry::set_enabled(true);  // also covers the comparator solvers
     }
-    params.convergence_sample_iters =
-        static_cast<int>(cli.get_int("sample-iters"));
-    params.convergence_sample_ms = cli.get_double("sample-ms");
 
     // Serving implies the full observation stack: telemetry for /metrics
     // and a convergence recorder for /status and /healthz.  All of it is
     // pure observation, so fingerprints are unaffected.
-    params.serve_port = static_cast<int>(cli.get_int("serve"));
-    if (params.serve_port != 0) {
+    const int serve_port = static_cast<int>(cli.get_int("serve"));
+    if (serve_port != 0) {
       params.telemetry = true;
       telemetry::set_enabled(true);
     }
-    // Direct runs mint a deterministic trace id from the seed, so Chrome
-    // traces (--telemetry-out) and flight events carry the same causal
-    // correlation id scheme as job-plane runs (DESIGN.md §13).
-    params.trace_id = telemetry::derive_trace_id(params.seed);
 
     const std::string convergence_out = cli.get("convergence-out");
     std::unique_ptr<ConvergenceRecorder> recorder;
     if (!convergence_out.empty() || cli.flag("progress") ||
-        cli.get_double("stall-ms") > 0.0 || params.serve_port != 0) {
+        cli.get_double("stall-ms") > 0.0 || serve_port != 0) {
       ConvergenceConfig cc;
       cc.reference = convergence_reference(inst);
-      cc.sample_every_iters = params.convergence_sample_iters;
-      cc.sample_every_ms = params.convergence_sample_ms;
+      cc.sample_every_iters = static_cast<int>(cli.get_int("sample-iters"));
+      cc.sample_every_ms = cli.get_double("sample-ms");
       cc.stall_threshold_ms = cli.get_double("stall-ms");
       recorder = std::make_unique<ConvergenceRecorder>(cc);
     }
-    ObserveOptions observe;
-    observe.recorder = recorder.get();
-    observe.stall_restart = cli.flag("stall-restart");
+    // Live introspection hub (DESIGN.md §14) for /metrics' tsmo_search_*
+    // gauges; RunResult carries the summary either way.
+    std::optional<LiveIntrospect> introspect;
+    if (cli.flag("introspect")) introspect.emplace(cli.get("algorithm"));
+
+    RunContext ctx;
+    // Direct runs mint a deterministic trace id from the seed, so Chrome
+    // traces (--telemetry-out) and flight events carry the same causal
+    // correlation id scheme as job-plane runs (DESIGN.md §13).
+    ctx.trace.trace_id = telemetry::derive_trace_id(params.seed);
+    ctx.profile_hz = static_cast<int>(cli.get_int("profile-hz"));
+    ctx.recorder = recorder.get();
+    ctx.introspect = introspect ? &*introspect : nullptr;
+    ctx.stall_restart = cli.flag("stall-restart");
 
     install_stop_signals();
 
@@ -459,8 +443,7 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
-    if (recorder && (obs::FlightRecorder::enabled() ||
-                     cli.get_int("serve") != 0)) {
+    if (recorder && (obs::FlightRecorder::enabled() || serve_port != 0)) {
       // Postmortems include the last heartbeat of every worker slot; the
       // board outlives the run (detached before the recorder dies below).
       obs::FlightRecorder::instance().set_heartbeat_board(
@@ -473,9 +456,9 @@ int main(int argc, char** argv) {
     // Declared after `recorder` so it is destroyed (and stopped) first —
     // handlers hold a recorder pointer until then.
     std::unique_ptr<obs::ObsServer> server;
-    if (params.serve_port != 0) {
+    if (serve_port != 0) {
       obs::ObsServer::Options so;
-      so.port = params.serve_port < 0 ? 0 : params.serve_port;
+      so.port = serve_port < 0 ? 0 : serve_port;
       server = std::make_unique<obs::ObsServer>(so);
       obs::FlightRecorder::set_enabled(true);
       if (!cli.flag("no-tsdb")) {
@@ -505,7 +488,7 @@ int main(int argc, char** argv) {
     RunResult result =
         solve(cli.get("algorithm"), inst, params,
               static_cast<int>(cli.get_int("processors")),
-              cli.flag("simulate"), observe);
+              cli.flag("simulate"), ctx);
 
     if (progress) progress->finish();
     if (recorder) recorder->finalize(result.front);
@@ -513,7 +496,7 @@ int main(int argc, char** argv) {
         .msg("run finished")
         .str("algorithm", result.algorithm)
         .str("instance", inst.name())
-        .hex("trace_id", params.trace_id)
+        .hex("trace_id", ctx.trace.trace_id)
         .i64("evaluations", result.evaluations)
         .f64("wall_seconds", result.wall_seconds);
     result.stopped_early = result.stopped_early || stop_requested();

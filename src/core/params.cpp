@@ -38,10 +38,6 @@ void TsmoParams::clamp() {
   nondom_capacity = std::max(nondom_capacity, 1);
   restart_after = std::max(restart_after, 1);
   candidate_k = std::max(candidate_k, 0);
-  flight_slots = std::clamp(flight_slots, 16, 65536);
-  profile_hz = std::clamp(profile_hz, 0, 1000);
-  if (convergence_sample_iters < 0) convergence_sample_iters = 0;
-  if (!(convergence_sample_ms >= 0.0)) convergence_sample_ms = 0.0;
 }
 
 }  // namespace tsmo

@@ -5,7 +5,6 @@
 // iterations, archive size 20, tabu tenure 20.
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 
 #include "operators/move.hpp"
@@ -62,57 +61,11 @@ struct TsmoParams {
   /// duration of the run.  Pure observation: counters, histograms and spans
   /// only — never consulted by the search, so fingerprints are identical
   /// with telemetry on or off.  Never perturbed.
+  ///
+  /// These two are the only observation switches here; everything else
+  /// that watches or stops a run (stop flag, trace ids, profiler rate,
+  /// recorder, introspection hub) is a RunContext (core/run_context.hpp).
   bool telemetry = false;
-  /// Dual sampling cadence of the anytime convergence recorder (DESIGN.md
-  /// §9): a searcher samples its archive every `convergence_sample_iters`
-  /// iterations and additionally once `convergence_sample_ms` of wall clock
-  /// passed since its last sample (either <= 0 disables that schedule).
-  /// Observation only; never consulted by the search and never perturbed.
-  int convergence_sample_iters = 50;
-  double convergence_sample_ms = 250.0;
-  /// Port of the embedded HTTP observability server (DESIGN.md §10):
-  /// /metrics, /healthz, /status, /buildinfo.  0 (default) disables the
-  /// server entirely; -1 asks for an ephemeral port (tests).  Serving is
-  /// pure observation — handlers only read atomics and recorder state —
-  /// so fingerprints are identical with the server on or off.  Never
-  /// perturbed.
-  int serve_port = 0;
-  /// Causal trace context of this run (DESIGN.md §13): a non-zero trace_id
-  /// makes the engines re-establish telemetry::TraceScope on their master
-  /// and worker threads, so every recorded span carries the request's id
-  /// and parents under `trace_parent_span` (the caller's enclosing span,
-  /// e.g. the job plane's job.run span; 0 = root).  Ids are deterministic
-  /// (derived from the seed, no wall clock/RNG) and observation-only —
-  /// fingerprints are identical traced or not.  Never perturbed.
-  std::uint64_t trace_id = 0;
-  std::uint64_t trace_parent_span = 0;
-  /// Capacity of the crash flight recorder ring (DESIGN.md §10); applied
-  /// before the run starts via obs::FlightRecorder::configure_capacity
-  /// (clamped to [16, 65536]).  Observation only; never perturbed.
-  int flight_slots = 256;
-  /// Per-run cooperative stop flag (DESIGN.md §12): when non-null, every
-  /// SearchState of the run treats a raised flag exactly like budget
-  /// exhaustion — the engine drains and the partial result is collected.
-  /// Unlike the process-wide request_stop() (SIGINT/SIGTERM), this scopes
-  /// cancellation to one run, so the job plane can cancel a single job
-  /// without touching its neighbors.  The pointee must outlive the run.
-  /// Never raised during a normal run, so determinism and golden-seed
-  /// fingerprints are untouched; never perturbed.
-  const std::atomic<bool>* stop = nullptr;
-  /// In-process sampling profiler rate (DESIGN.md §14).  > 0 arms the
-  /// SIGPROF shadow-stack sampler at that many samples per second of
-  /// *CPU time* per thread (clamped to [1, 1000]); 0 (default) leaves it
-  /// untouched.  Sampling is pure observation — the handler only copies
-  /// the phase stack into a per-thread ring — so fingerprints are
-  /// identical profiled or not.  Never perturbed.
-  int profile_hz = 0;
-  /// Enables the live search-introspection hub (moo/introspect.hpp,
-  /// DESIGN.md §14): per-operator acceptance rates, tabu pressure and
-  /// archive churn published each step for /jobs/<id>/introspect and the
-  /// tsmo_search_* gauges.  The per-searcher counters behind it are always
-  /// maintained (and always summarized into RunResult); this flag only
-  /// controls the shared live hub.  Observation only; never perturbed.
-  bool introspect = false;
   std::uint64_t seed = 1;
 
   /// Perturbs every numeric parameter with N(0, p/4) noise — §III.E: "The

@@ -119,10 +119,10 @@ class SearchState {
   void charge_evaluations(std::int64_t n) noexcept { evaluations_ += n; }
   /// True when the evaluation budget is spent *or* a cooperative stop was
   /// requested — either the process-wide flag (solver_cli's SIGINT/SIGTERM
-  /// path) or this run's own TsmoParams::stop (job-plane cancellation):
-  /// every engine loop keys off this check, so a stop request drains
-  /// exactly like budget exhaustion and results are still collected and
-  /// flushed.
+  /// path) or this run's own stop flag (RunContext::stop, job-plane
+  /// cancellation): every engine loop keys off this check, so a stop
+  /// request drains exactly like budget exhaustion and results are still
+  /// collected and flushed.
   bool budget_exhausted() const noexcept {
     return evaluations_ >= params_.max_evaluations || stop_flag_raised();
   }
@@ -131,9 +131,12 @@ class SearchState {
   /// raised; collect_result() turns this into RunResult::stopped_early.
   bool stop_flag_raised() const noexcept {
     return stop_requested() ||
-           (params_.stop != nullptr &&
-            params_.stop->load(std::memory_order_relaxed));
+           (stop_ != nullptr && stop_->load(std::memory_order_relaxed));
   }
+
+  /// Per-run stop flag (RunContext::stop); nullptr detaches.  The pointee
+  /// must outlive the run.
+  void set_stop_flag(const std::atomic<bool>* stop) noexcept { stop_ = stop; }
 
   int iterations_since_improvement() const noexcept {
     return static_cast<int>(iterations_ - last_improvement_);
@@ -235,6 +238,7 @@ class SearchState {
   /// maintained so RunResult::attribution works without a recorder.
   std::vector<std::pair<Objectives, ArchiveAttribution>> provenance_;
   std::atomic<bool> external_restart_{false};
+  const std::atomic<bool>* stop_ = nullptr;
 
   std::int64_t iterations_ = 0;
   std::int64_t restarts_ = 0;

@@ -1,12 +1,8 @@
 #include "core/sequential_tsmo.hpp"
 
 #include <algorithm>
-#include <memory>
 
 #include "obs/flight_recorder.hpp"
-#include "util/profiler.hpp"
-#include "util/stop.hpp"
-#include "util/telemetry.hpp"
 #include "util/timer.hpp"
 
 namespace tsmo {
@@ -34,26 +30,10 @@ RunResult collect_result(const SearchState& state, std::string algorithm,
 }
 
 RunResult SequentialTsmo::run(const IterationObserver& observer) const {
-  // Re-establish the caller's causal trace on this thread (DESIGN.md §13);
-  // every span below parents under the request's job.run span.
-  telemetry::TraceScope trace_scope(
-      telemetry::TraceContext{params_.trace_id, params_.trace_parent_span});
-  if (params_.telemetry) telemetry::set_enabled(true);
-  if (params_.profile_hz > 0) prof::start(params_.profile_hz);
-  TSMO_SPAN("run.sequential");
-  TSMO_PROFILE_FRAME("run.sequential");
-  obs::flight_engine_start("sequential", 1, 0, params_.trace_id);
+  RunScope scope("run.sequential", params_, ctx_, 1, 0);
   Timer timer;
   SearchState state(*inst_, params_, Rng(params_.seed));
-  // Live introspection: an injected hub wins; otherwise params.introspect
-  // makes the run own one so the registry's /metrics gauges see it.
-  std::unique_ptr<LiveIntrospect> own_introspect;
-  LiveIntrospect* live = introspect_;
-  if (live == nullptr && params_.introspect) {
-    own_introspect = std::make_unique<LiveIntrospect>("sequential");
-    live = own_introspect.get();
-  }
-  if (live != nullptr) state.set_introspect(live);
+  scope.attach(state);
   state.initialize();
 
   while (!state.budget_exhausted()) {
@@ -76,8 +56,7 @@ RunResult SequentialTsmo::run(const IterationObserver& observer) const {
       observer(ev);
     }
   }
-  obs::flight_engine_finish("sequential", state.iterations(),
-                            params_.trace_id);
+  scope.finish(state.iterations());
   return collect_result(state, "sequential", timer.elapsed_seconds());
 }
 

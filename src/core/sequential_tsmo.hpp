@@ -6,6 +6,7 @@
 
 #include <functional>
 
+#include "core/run_context.hpp"
 #include "core/run_result.hpp"
 #include "core/search_state.hpp"
 
@@ -26,21 +27,17 @@ using IterationObserver = std::function<void(const IterationEvent&)>;
 
 class SequentialTsmo {
  public:
-  SequentialTsmo(const Instance& inst, const TsmoParams& params)
-      : inst_(&inst), params_(params) {}
+  SequentialTsmo(const Instance& inst, const TsmoParams& params,
+                 RunContext ctx = {})
+      : inst_(&inst), params_(params), ctx_(ctx) {}
 
   /// Runs Algorithm 1 until the evaluation budget is exhausted.
   RunResult run(const IterationObserver& observer = {}) const;
 
-  /// Optional live introspection hub (DESIGN.md §14) the searcher
-  /// publishes into each step; overrides the self-created hub that
-  /// params.introspect would otherwise provide.  Observation only.
-  void set_introspect(LiveIntrospect* live) noexcept { introspect_ = live; }
-
  private:
   const Instance* inst_;
   TsmoParams params_;
-  LiveIntrospect* introspect_ = nullptr;
+  RunContext ctx_;
 };
 
 /// Copies the archive of a finished searcher into a RunResult.

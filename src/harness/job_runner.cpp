@@ -5,7 +5,6 @@
 #include <memory>
 #include <sstream>
 #include <stdexcept>
-#include <utility>
 
 #include "core/sequential_tsmo.hpp"
 #include "harness/report.hpp"
@@ -44,8 +43,8 @@ constexpr IntParam kIntParams[] = {
     {"candidate_k", &TsmoParams::candidate_k, kMaxJobCustomers},
     {"archive", &TsmoParams::archive_capacity, 1000},
     {"restart_after", &TsmoParams::restart_after, 1000000},
-    {"profile_hz", &TsmoParams::profile_hz, 1000},
 };
+constexpr int kMaxJobProfileHz = 1000;
 
 /// The integer at `v`, or an error naming `field` when outside [0, max].
 int bounded_int(const JsonValue& v, const std::string& field, int fallback,
@@ -59,11 +58,20 @@ int bounded_int(const JsonValue& v, const std::string& field, int fallback,
   return static_cast<int>(x);
 }
 
+/// The body's "params" object: paper-default TsmoParams plus the two
+/// observation fields that belong to the run's context.
+struct JobParams {
+  TsmoParams search;
+  int profile_hz = 0;
+  bool introspect = false;
+};
+
 /// Applies the "params" object onto paper-default TsmoParams.
-TsmoParams parse_params(const JsonValue* node) {
-  TsmoParams p;
+JobParams parse_params(const JsonValue* node) {
+  JobParams jp;
+  TsmoParams& p = jp.search;
   p.trace = true;  // fingerprints are part of the job contract
-  if (node == nullptr || !node->is_object()) return p;
+  if (node == nullptr || !node->is_object()) return jp;
   if (const JsonValue* v = node->find("evaluations")) {
     p.max_evaluations = v->as_int64(p.max_evaluations);
   }
@@ -72,6 +80,10 @@ TsmoParams parse_params(const JsonValue* node) {
       p.*f.member = bounded_int(*v, std::string("params.") + f.field,
                                 p.*f.member, f.max);
     }
+  }
+  if (const JsonValue* v = node->find("profile_hz")) {
+    jp.profile_hz = bounded_int(*v, "params.profile_hz", jp.profile_hz,
+                                kMaxJobProfileHz);
   }
   if (const JsonValue* v = node->find("seed")) {
     p.seed = static_cast<std::uint64_t>(v->as_int64(1));
@@ -83,7 +95,7 @@ TsmoParams parse_params(const JsonValue* node) {
     p.telemetry = v->as_bool(p.telemetry);
   }
   if (const JsonValue* v = node->find("introspect")) {
-    p.introspect = v->as_bool(p.introspect);
+    jp.introspect = v->as_bool(jp.introspect);
   }
   if (const JsonValue* v = node->find("screen"); v && v->is_string()) {
     const std::string& s = v->as_string();
@@ -98,48 +110,33 @@ TsmoParams parse_params(const JsonValue* node) {
     }
   }
   p.clamp();
-  return p;
+  return jp;
 }
 
 RunResult run_engine(const std::string& algorithm, const Instance& inst,
                      const TsmoParams& params, int processors,
-                     ConvergenceRecorder* recorder,
-                     LiveIntrospect* introspect) {
-  if (algorithm == "seq") {
-    SequentialTsmo seq(inst, params);
-    seq.set_introspect(introspect);
-    return seq.run();
-  }
+                     const RunContext& ctx) {
+  if (algorithm == "seq") return SequentialTsmo(inst, params, ctx).run();
   if (algorithm == "sync") {
     SyncOptions so;
     so.deterministic = true;
-    so.recorder = recorder;
-    so.introspect = introspect;
-    return SyncTsmo(inst, params, processors, so).run();
+    return SyncTsmo(inst, params, processors, so, ctx).run();
   }
   if (algorithm == "async") {
     AsyncOptions ao;
     ao.deterministic = true;
-    ao.recorder = recorder;
-    ao.introspect = introspect;
-    return AsyncTsmo(inst, params, processors, ao).run();
+    return AsyncTsmo(inst, params, processors, ao, ctx).run();
   }
   if (algorithm == "coll") {
     MultisearchOptions mo;
     mo.deterministic = true;
-    mo.recorder = recorder;
-    mo.introspect = introspect;
-    MultisearchResult r = MultisearchTsmo(inst, params, processors, mo).run();
-    return std::move(r.merged);
+    return MultisearchTsmo(inst, params, processors, mo, ctx).run().merged;
   }
   if (algorithm == "hybrid") {
     HybridOptions ho;
     ho.deterministic = true;
-    ho.recorder = recorder;
-    ho.introspect = introspect;
     const int per_island = std::max(2, processors / 2);
-    MultisearchResult r = HybridTsmo(inst, params, 2, per_island, ho).run();
-    return std::move(r.merged);
+    return HybridTsmo(inst, params, 2, per_island, ho, ctx).run().merged;
   }
   throw std::invalid_argument(
       "unknown algorithm: " + algorithm +
@@ -160,13 +157,8 @@ obs::JobOutcome run_job_body(const std::string& body,
     }
 
     // Every bounded field is read before the instance is built.
-    TsmoParams params = parse_params(doc->find("params"));
-    params.stop = ctx.cancel;
-    // Causal trace plumbing (DESIGN.md §13): engine and worker spans
-    // parent under the manager's "job.run" span.  Pure observability —
-    // engines never branch on these ids.
-    params.trace_id = ctx.trace.trace_id;
-    params.trace_parent_span = ctx.trace.span_id;
+    const JobParams job = parse_params(doc->find("params"));
+    const TsmoParams& params = job.search;
 
     std::string algorithm = "seq";
     if (const JsonValue* a = doc->find("algorithm");
@@ -213,14 +205,12 @@ obs::JobOutcome run_job_body(const std::string& body,
     // Observation only — fingerprints are identical with or without it.
     ConvergenceConfig cc;
     cc.reference = convergence_reference(inst);
-    cc.sample_every_iters = params.convergence_sample_iters;
-    cc.sample_every_ms = params.convergence_sample_ms;
     ConvergenceRecorder recorder(cc);
     // Per-job introspection hub (DESIGN.md §14) when the body opted in;
     // shared by every searcher of this job and served live on
     // GET /jobs/<id>/introspect.
     std::unique_ptr<LiveIntrospect> introspect;
-    if (params.introspect) {
+    if (job.introspect) {
       char label[24];
       std::snprintf(label, sizeof(label), "job-%016llx",
                     static_cast<unsigned long long>(ctx.trace.trace_id));
@@ -241,8 +231,15 @@ obs::JobOutcome run_job_body(const std::string& body,
       ctx.publish_introspect(introspect.get());
     }
 
-    RunResult result = run_engine(algorithm, inst, params, processors,
-                                  &recorder, introspect.get());
+    // The job's run context: its own cancel flag, the causal trace under
+    // the manager's "job.run" span (DESIGN.md §13), the recorder and hub.
+    RunContext run;
+    run.stop = ctx.cancel;
+    run.trace = ctx.trace;
+    run.profile_hz = job.profile_hz;
+    run.recorder = &recorder;
+    run.introspect = introspect.get();
+    RunResult result = run_engine(algorithm, inst, params, processors, run);
 
     recorder.finalize(result.front);
     if (introspect != nullptr) {

@@ -16,7 +16,7 @@
 // RNG or decision, so deterministic-mode trace/archive fingerprints are
 // bitwise-identical with the recorder attached or not (guarded by
 // tests/test_golden_seed.cpp).  The one deliberate exception is the
-// opt-in stall reaction (AsyncOptions/HybridOptions::stall_restart), which
+// opt-in stall reaction (RunContext::stall_restart), which
 // routes a watchdog verdict into the engine's existing diversification
 // path and is off by default.
 
@@ -92,8 +92,8 @@ struct ConvergenceConfig {
   Objectives reference{1.0e12, 1 << 20, 1.0e12};
   /// Dual sampling schedule: a sample fires every `sample_every_iters`
   /// searcher iterations and additionally once `sample_every_ms` of wall
-  /// clock passed since that searcher's last sample.  Mirrors
-  /// TsmoParams::convergence_sample_iters / convergence_sample_ms.
+  /// clock passed since that searcher's last sample (CLI --sample-iters,
+  /// --sample-ms).
   int sample_every_iters = 50;
   double sample_every_ms = 250.0;
   /// Stall watchdog: a worker whose last heartbeat is older than this is

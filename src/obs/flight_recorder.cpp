@@ -66,9 +66,10 @@ int FlightRecorder::configure_capacity(int slots) {
     reset();
     return cap;
   }
-  // Old ring leaks deliberately: a straggler hook that raced past the
-  // documented "configure before enabling" contract still dereferences
+  // The old ring is retired, not freed: a straggler hook that raced past
+  // the documented "configure before enabling" contract still dereferences
   // valid memory instead of a freed block.
+  retired_.push_back(ring_);
   ring_ = new Slot[static_cast<std::size_t>(cap)];
   capacity_.store(cap, std::memory_order_release);
   head_.store(0, std::memory_order_relaxed);

@@ -107,10 +107,10 @@ class FlightRecorder {
               std::int32_t b = 0, std::int64_t v = 0,
               std::uint64_t trace = 0) noexcept;
 
-  /// Resizes the ring, clearing it (clamped to [16, 65536]; TsmoParams::
-  /// flight_slots / --flight-slots).  NOT safe concurrently with record()
-  /// or a crash handler — call during startup, before enabling the
-  /// recorder.  Returns the capacity actually applied.
+  /// Resizes the ring, clearing it (clamped to [16, 65536];
+  /// --flight-slots).  NOT safe concurrently with record() or a crash
+  /// handler — call during startup, before enabling the recorder.  The
+  /// old ring is retired, never freed.  Returns the capacity applied.
   int configure_capacity(int slots);
 
   /// Current ring capacity.
@@ -169,6 +169,10 @@ class FlightRecorder {
   std::atomic<const HeartbeatBoard*> board_{nullptr};
   std::atomic<int> capacity_{kDefaultCapacity};
   Slot* ring_;  ///< heap array of capacity() slots; leaked with the singleton
+  /// Every ring configure_capacity() replaced.  Kept reachable and never
+  /// freed, so a straggler hook still writes valid memory (and leak
+  /// checkers see no orphaned block).
+  std::vector<Slot*> retired_;
 };
 
 /// Arms SIGSEGV/SIGABRT/SIGBUS: pre-opens `path` (truncating) and installs

@@ -19,7 +19,7 @@
 // standard one lives in src/harness/job_runner.hpp, which may link the
 // whole solver stack; tsmo_obs must not).  Each job gets its own
 // std::atomic<bool> cancel flag, which the runner plumbs into
-// TsmoParams::stop so cancellation scopes to exactly one job, and engines
+// RunContext::stop so cancellation scopes to exactly one job, and engines
 // stay deterministic per job: identical (instance, params, seed)
 // submissions produce identical trace/archive fingerprints regardless of
 // queue interleaving or concurrent load.
@@ -53,7 +53,7 @@ inline bool is_terminal(JobState s) noexcept {
 
 /// Execution context handed to the runner for one job.
 struct JobContext {
-  /// This job's cooperative stop flag; forward it into TsmoParams::stop so
+  /// This job's cooperative stop flag; forward it into RunContext::stop so
   /// DELETE /jobs/<id> drains exactly this run.
   const std::atomic<bool>* cancel = nullptr;
   /// Publishes (or retracts, with nullptr) the run's convergence recorder

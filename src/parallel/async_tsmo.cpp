@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
 #include <vector>
 
 #include "core/sequential_tsmo.hpp"
-#include "obs/flight_recorder.hpp"
 #include "parallel/worker_team.hpp"
 #include "util/profiler.hpp"
 #include "util/telemetry.hpp"
@@ -16,41 +14,20 @@ namespace tsmo {
 
 RunResult AsyncTsmo::run() const {
   if (options_.deterministic) return run_deterministic();
-  // Re-establish the caller's causal trace on this thread (DESIGN.md §13);
-  // every span below parents under the request's job.run span.
-  telemetry::TraceScope trace_scope(
-      telemetry::TraceContext{params_.trace_id, params_.trace_parent_span});
-  if (params_.telemetry) telemetry::set_enabled(true);
-  if (params_.profile_hz > 0) prof::start(params_.profile_hz);
-  TSMO_SPAN("run.async");
-  TSMO_PROFILE_FRAME("run.async");
+  const int procs = std::max(2, processors_);
+  RunScope scope("run.async", params_, ctx_, 1, procs - 1);
   TSMO_TELEMETRY_ONLY(
       if (telemetry::enabled()) {
         telemetry::Registry::instance().set_thread_label("async master");
       })
   Timer timer;
-  const int procs = std::max(2, processors_);
   const auto cands = make_candidate_list(*inst_, params_.candidate_k);
   SearchState state(*inst_, params_, Rng(params_.seed), cands);
   WorkerTeam team(*inst_, procs - 1, params_.seed, cands,
                   params_.batch_pricing);
-  obs::flight_engine_start("async", 1, team.num_workers(), params_.trace_id);
-  if (options_.recorder) {
-    options_.recorder->engine_started("async", 1, team.num_workers());
-    team.enable_heartbeats(*options_.recorder, "async worker");
-    state.set_recorder(options_.recorder);
-    if (options_.stall_restart) {
-      options_.recorder->set_stall_action(
-          [&state](int) { state.request_restart(); });
-    }
-  }
-  std::unique_ptr<LiveIntrospect> own_introspect;
-  LiveIntrospect* live = options_.introspect;
-  if (live == nullptr && params_.introspect) {
-    own_introspect = std::make_unique<LiveIntrospect>("async");
-    live = own_introspect.get();
-  }
-  if (live != nullptr) state.set_introspect(live);
+  if (ctx_.recorder) team.enable_heartbeats(*ctx_.recorder, "async worker");
+  scope.attach(state);
+  scope.restart_on_stall(state);
   state.initialize();
 
   const int chunk = std::max(1, params_.neighborhood_size / procs);
@@ -124,47 +101,26 @@ RunResult AsyncTsmo::run() const {
     pool.clear();
   }
 
-  if (options_.recorder) {
-    // Clearing the action blocks out any in-flight watchdog invocation,
-    // so it can no longer touch `state` after this line.
-    options_.recorder->set_stall_action(nullptr);
-    options_.recorder->engine_finished(state.iterations());
-  }
-  obs::flight_engine_finish("async", state.iterations(), params_.trace_id);
+  // Clears the stall action: the watchdog can no longer touch `state`.
+  scope.finish(state.iterations());
   return collect_result(state, "async", timer.elapsed_seconds());
 }
 
 RunResult AsyncTsmo::run_deterministic() const {
-  telemetry::TraceScope trace_scope(
-      telemetry::TraceContext{params_.trace_id, params_.trace_parent_span});
-  if (params_.telemetry) telemetry::set_enabled(true);
-  if (params_.profile_hz > 0) prof::start(params_.profile_hz);
-  TSMO_SPAN("run.async");
-  TSMO_PROFILE_FRAME("run.async");
+  const int procs = std::max(2, processors_);
+  const int exec =
+      options_.exec_threads > 0 ? options_.exec_threads : procs - 1;
+  RunScope scope("run.async", params_, ctx_, 1, exec);
   TSMO_TELEMETRY_ONLY(
       if (telemetry::enabled()) {
         telemetry::Registry::instance().set_thread_label("async master");
       })
   Timer timer;
-  const int procs = std::max(2, processors_);
-  const int exec =
-      options_.exec_threads > 0 ? options_.exec_threads : procs - 1;
   const auto cands = make_candidate_list(*inst_, params_.candidate_k);
   SearchState state(*inst_, params_, Rng(params_.seed), cands);
   WorkerTeam team(*inst_, exec, params_.seed, cands, params_.batch_pricing);
-  obs::flight_engine_start("async", 1, team.num_workers(), params_.trace_id);
-  if (options_.recorder) {
-    options_.recorder->engine_started("async", 1, team.num_workers());
-    team.enable_heartbeats(*options_.recorder, "async worker");
-    state.set_recorder(options_.recorder);
-  }
-  std::unique_ptr<LiveIntrospect> own_introspect;
-  LiveIntrospect* live = options_.introspect;
-  if (live == nullptr && params_.introspect) {
-    own_introspect = std::make_unique<LiveIntrospect>("async");
-    live = own_introspect.get();
-  }
-  if (live != nullptr) state.set_introspect(live);
+  if (ctx_.recorder) team.enable_heartbeats(*ctx_.recorder, "async worker");
+  scope.attach(state);
   state.initialize();
   Rng schedule(params_.seed ^ 0xa57c5eedULL);
 
@@ -228,8 +184,7 @@ RunResult AsyncTsmo::run_deterministic() const {
   }
   // Chunks still deferred at exhaustion are dropped, like in-flight
   // results at termination of the wall-clock mode.
-  obs::flight_engine_finish("async", state.iterations(), params_.trace_id);
-  if (options_.recorder) options_.recorder->engine_finished(state.iterations());
+  scope.finish(state.iterations());
   return collect_result(state, "async", timer.elapsed_seconds());
 }
 

@@ -15,6 +15,7 @@
 //   c3  the master has waited too long
 //   c4  the evaluation budget is exhausted
 
+#include "core/run_context.hpp"
 #include "core/run_result.hpp"
 #include "core/search_state.hpp"
 
@@ -41,30 +42,18 @@ struct AsyncOptions {
   /// Deterministic straggler model: probability that a non-leading chunk
   /// arrives one iteration late.
   double defer_probability = 0.25;
-  /// Anytime convergence recorder (DESIGN.md §9); observation only, so
-  /// deterministic fingerprints are identical with or without it.  Must
-  /// outlive the run.
-  ConvergenceRecorder* recorder = nullptr;
-  /// Live search-introspection hub (DESIGN.md §14); observation only.
-  /// When null and params.introspect is set, the run creates its own.
-  /// Must outlive the run.
-  LiveIntrospect* introspect = nullptr;
-  /// Opt-in stall reaction: when the recorder's watchdog flags the master
-  /// searcher, route the verdict into the existing diversification path
-  /// (restart from the memories on the next step).  Ignored without a
-  /// recorder or in deterministic mode; off by default because it makes
-  /// the search wall-clock dependent.
-  bool stall_restart = false;
 };
 
 class AsyncTsmo {
  public:
+  /// The free-running mode honors ctx.stall_restart for the master.
   AsyncTsmo(const Instance& inst, const TsmoParams& params, int processors,
-            AsyncOptions options = {})
+            AsyncOptions options = {}, RunContext ctx = {})
       : inst_(&inst),
         params_(params),
         processors_(processors),
-        options_(options) {}
+        options_(options),
+        ctx_(ctx) {}
 
   RunResult run() const;
 
@@ -75,6 +64,7 @@ class AsyncTsmo {
   TsmoParams params_;
   int processors_;
   AsyncOptions options_;
+  RunContext ctx_;
 };
 
 }  // namespace tsmo

@@ -4,11 +4,9 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
-#include <mutex>
 #include <thread>
 
 #include "core/sequential_tsmo.hpp"
-#include "obs/flight_recorder.hpp"
 #include "parallel/channel.hpp"
 #include "parallel/thread_pool.hpp"
 #include "parallel/worker_team.hpp"
@@ -21,20 +19,14 @@ namespace tsmo {
 
 MultisearchResult HybridTsmo::run() const {
   if (options_.deterministic) return run_deterministic();
-  // Re-establish the caller's causal trace on this thread (DESIGN.md §13).
-  telemetry::TraceScope trace_scope(
-      telemetry::TraceContext{params_.trace_id, params_.trace_parent_span});
-  if (params_.telemetry) telemetry::set_enabled(true);
-  if (params_.profile_hz > 0) prof::start(params_.profile_hz);
-  TSMO_SPAN("run.hybrid");
-  TSMO_PROFILE_FRAME("run.hybrid");
+  const int k = std::max(2, islands_);
+  const int procs = std::max(2, procs_per_island_);
+  const auto n = static_cast<std::size_t>(k);
+  RunScope scope("run.hybrid", params_, ctx_, k, k * (procs - 1));
   // Island threads re-establish the ambient context captured here, so
   // their iteration and worker spans parent under the run.hybrid span.
   const telemetry::TraceContext island_ctx = telemetry::current_trace();
   Timer timer;
-  const int k = std::max(2, islands_);
-  const int procs = std::max(2, procs_per_island_);
-  const auto n = static_cast<std::size_t>(k);
 
   std::vector<std::unique_ptr<Channel<std::shared_ptr<const Solution>>>>
       mailboxes;
@@ -46,36 +38,11 @@ MultisearchResult HybridTsmo::run() const {
       mailboxes.back()->enable_telemetry("island" + std::to_string(i));
     })
   }
-  std::unique_ptr<LiveIntrospect> own_introspect;
-  LiveIntrospect* live = options_.introspect;
-  if (live == nullptr && params_.introspect) {
-    own_introspect = std::make_unique<LiveIntrospect>("hybrid");
-    live = own_introspect.get();
-  }
   std::vector<RunResult> per_island(n);
   std::atomic<std::int64_t> messages_sent{0};
   std::atomic<std::int64_t> messages_accepted{0};
-
-  // Stall-action registry: islands sign their SearchState in while it is
-  // alive; the watchdog action (running under the recorder lock) routes a
-  // flagged island id to a restart request through this table.
-  std::mutex stall_mutex;
-  std::vector<SearchState*> stall_reg(n, nullptr);
   // candidate_k is never perturbed, so every island shares one list.
   const auto shared_cands = make_candidate_list(*inst_, params_.candidate_k);
-  obs::flight_engine_start("hybrid", k, k * (procs - 1), params_.trace_id);
-  if (options_.recorder) {
-    options_.recorder->engine_started("hybrid", k, k * (procs - 1));
-    if (options_.stall_restart) {
-      options_.recorder->set_stall_action([&stall_mutex, &stall_reg](int id) {
-        std::lock_guard<std::mutex> lock(stall_mutex);
-        if (id >= 0 && id < static_cast<int>(stall_reg.size()) &&
-            stall_reg[static_cast<std::size_t>(id)]) {
-          stall_reg[static_cast<std::size_t>(id)]->request_restart();
-        }
-      });
-    }
-  }
 
   auto island = [&](int id) {
     telemetry::TraceScope island_scope(island_ctx);
@@ -93,14 +60,12 @@ MultisearchResult HybridTsmo::run() const {
     state.set_trace_id(id);
     WorkerTeam team(*inst_, procs - 1, p.seed, shared_cands,
                     p.batch_pricing);
-    if (options_.recorder) {
-      state.set_recorder(options_.recorder);
-      team.enable_heartbeats(*options_.recorder,
+    if (ctx_.recorder) {
+      team.enable_heartbeats(*ctx_.recorder,
                              "island " + std::to_string(id) + " worker");
-      std::lock_guard<std::mutex> lock(stall_mutex);
-      stall_reg[static_cast<std::size_t>(id)] = &state;
     }
-    if (live != nullptr) state.set_introspect(live);
+    scope.attach(state, id);
+    scope.restart_on_stall(state, id);
     state.initialize();
 
     std::vector<int> comm;
@@ -206,12 +171,9 @@ MultisearchResult HybridTsmo::run() const {
     per_island[static_cast<std::size_t>(id)] = collect_result(
         state, "hybrid[" + std::to_string(id) + "]",
         local_timer.elapsed_seconds());
-    if (options_.recorder) {
-      // Sign out before `state` dies; a concurrent watchdog action then
-      // finds nullptr instead of a dangling pointer.
-      std::lock_guard<std::mutex> lock(stall_mutex);
-      stall_reg[static_cast<std::size_t>(id)] = nullptr;
-    }
+    // Sign out before `state` dies; a concurrent watchdog verdict then
+    // finds no state instead of a dangling pointer.
+    scope.forget_stall(id);
   };
 
   {
@@ -227,28 +189,19 @@ MultisearchResult HybridTsmo::run() const {
   result.merged.refresh_throughput();
   result.messages_sent = messages_sent.load();
   result.messages_accepted = messages_accepted.load();
-  obs::flight_engine_finish("hybrid", result.merged.iterations, params_.trace_id);
-  if (options_.recorder) {
-    options_.recorder->set_stall_action(nullptr);
-    options_.recorder->engine_finished(result.merged.iterations);
-  }
+  scope.finish(result.merged.iterations);
   return result;
 }
 
 MultisearchResult HybridTsmo::run_deterministic() const {
-  telemetry::TraceScope trace_scope(
-      telemetry::TraceContext{params_.trace_id, params_.trace_parent_span});
-  if (params_.telemetry) telemetry::set_enabled(true);
-  if (params_.profile_hz > 0) prof::start(params_.profile_hz);
-  TSMO_SPAN("run.hybrid");
-  TSMO_PROFILE_FRAME("run.hybrid");
-  // Pool threads re-establish this ambient context per round step.
-  const telemetry::TraceContext island_ctx = telemetry::current_trace();
-  Timer timer;
   const int k = std::max(2, islands_);
   const int procs = std::max(2, procs_per_island_);
   const auto n = static_cast<std::size_t>(k);
   const int exec = options_.exec_threads > 0 ? options_.exec_threads : k;
+  RunScope scope("run.hybrid", params_, ctx_, k, 0);
+  // Pool threads re-establish this ambient context per round step.
+  const telemetry::TraceContext island_ctx = telemetry::current_trace();
+  Timer timer;
 
   // One lock-step island per slot; each round an island performs one
   // deterministic-async iteration (seeded chunk schedule + straggler
@@ -271,12 +224,6 @@ MultisearchResult HybridTsmo::run_deterministic() const {
     RunResult result;
   };
   std::vector<Island> islands(n);
-  std::unique_ptr<LiveIntrospect> own_introspect;
-  LiveIntrospect* live = options_.introspect;
-  if (live == nullptr && params_.introspect) {
-    own_introspect = std::make_unique<LiveIntrospect>("hybrid");
-    live = own_introspect.get();
-  }
   const auto shared_cands = make_candidate_list(*inst_, params_.candidate_k);
   for (int id = 0; id < k; ++id) {
     Island& is = islands[static_cast<std::size_t>(id)];
@@ -287,8 +234,7 @@ MultisearchResult HybridTsmo::run_deterministic() const {
     is.state = std::make_unique<SearchState>(*inst_, is.p, Rng(is.p.seed),
                                              shared_cands);
     is.state->set_trace_id(id);
-    if (options_.recorder) is.state->set_recorder(options_.recorder);
-    if (live != nullptr) is.state->set_introspect(live);
+    scope.attach(*is.state, id);
     is.engine = std::make_unique<MoveEngine>(*inst_);
     if (shared_cands) is.engine->set_candidate_list(shared_cands.get());
     is.generator = std::make_unique<NeighborhoodGenerator>(
@@ -303,10 +249,6 @@ MultisearchResult HybridTsmo::run_deterministic() const {
     }
   }
 
-  obs::flight_engine_start("hybrid", k, 0, params_.trace_id);
-  if (options_.recorder) {
-    options_.recorder->engine_started("hybrid", k, 0);
-  }
   ThreadPool pool(static_cast<unsigned>(std::max(1, exec)));
   {
     std::vector<std::future<void>> init;
@@ -415,10 +357,7 @@ MultisearchResult HybridTsmo::run_deterministic() const {
   result.merged = merge_results(result.per_searcher, "hybrid");
   result.merged.wall_seconds = timer.elapsed_seconds();
   result.merged.refresh_throughput();
-  obs::flight_engine_finish("hybrid", result.merged.iterations, params_.trace_id);
-  if (options_.recorder) {
-    options_.recorder->engine_finished(result.merged.iterations);
-  }
+  scope.finish(result.merged.iterations);
   return result;
 }
 

@@ -12,6 +12,7 @@
 // phase sends archive improvements to one peer island at a time through a
 // rotating communication list.
 
+#include "core/run_context.hpp"
 #include "core/run_result.hpp"
 #include "core/search_state.hpp"
 #include "parallel/multisearch_tsmo.hpp"
@@ -31,32 +32,20 @@ struct HybridOptions {
   int exec_threads = 0;
   /// Straggler model within each island (see AsyncOptions).
   double defer_probability = 0.25;
-  /// Anytime convergence recorder (DESIGN.md §9); each island attaches
-  /// under its island id and its generation workers get heartbeat gauges.
-  /// Observation only, so deterministic fingerprints are identical with or
-  /// without it.  Must outlive the run.
-  ConvergenceRecorder* recorder = nullptr;
-  /// Live search-introspection hub (DESIGN.md §14); every island's
-  /// searcher registers its own slot.  Observation only.  When null and
-  /// params.introspect is set, the run creates its own.  Must outlive
-  /// the run.
-  LiveIntrospect* introspect = nullptr;
-  /// Opt-in stall reaction: a watchdog-flagged island searcher restarts
-  /// from its memories on its next step (the engine's existing
-  /// diversification path).  Ignored without a recorder or in
-  /// deterministic mode; off by default (wall-clock dependent).
-  bool stall_restart = false;
 };
 
 class HybridTsmo {
  public:
+  /// The free-running mode honors ctx.stall_restart for every island.
   HybridTsmo(const Instance& inst, const TsmoParams& params, int islands,
-             int procs_per_island, HybridOptions options = {})
+             int procs_per_island, HybridOptions options = {},
+             RunContext ctx = {})
       : inst_(&inst),
         params_(params),
         islands_(islands),
         procs_per_island_(procs_per_island),
-        options_(options) {}
+        options_(options),
+        ctx_(ctx) {}
 
   MultisearchResult run() const;
 
@@ -68,6 +57,7 @@ class HybridTsmo {
   int islands_;
   int procs_per_island_;
   HybridOptions options_;
+  RunContext ctx_;
 };
 
 }  // namespace tsmo

@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "core/sequential_tsmo.hpp"
-#include "obs/flight_recorder.hpp"
 #include "parallel/channel.hpp"
 #include "parallel/thread_pool.hpp"
 #include "util/profiler.hpp"
@@ -68,19 +67,13 @@ RunResult merge_results(const std::vector<RunResult>& results,
 
 MultisearchResult MultisearchTsmo::run() const {
   if (options_.deterministic) return run_deterministic();
-  // Re-establish the caller's causal trace on this thread (DESIGN.md §13).
-  telemetry::TraceScope trace_scope(
-      telemetry::TraceContext{params_.trace_id, params_.trace_parent_span});
-  if (params_.telemetry) telemetry::set_enabled(true);
-  if (params_.profile_hz > 0) prof::start(params_.profile_hz);
-  TSMO_SPAN("run.coll");
-  TSMO_PROFILE_FRAME("run.coll");
+  const int procs = std::max(2, processors_);
+  const auto n = static_cast<std::size_t>(procs);
+  RunScope scope("run.coll", params_, ctx_, procs, 0);
   // Searcher threads re-establish the ambient context captured here, so
   // their iteration spans parent under the run.coll span.
   const telemetry::TraceContext searcher_ctx = telemetry::current_trace();
   Timer timer;
-  const int procs = std::max(2, processors_);
-  const auto n = static_cast<std::size_t>(procs);
 
   // One mailbox per searcher; solutions travel as shared handles on
   // immutable Solutions (DESIGN.md §16).
@@ -93,13 +86,6 @@ MultisearchResult MultisearchTsmo::run() const {
     TSMO_TELEMETRY_ONLY(if (telemetry::enabled()) {
       mailboxes.back()->enable_telemetry("mailbox" + std::to_string(i));
     })
-  }
-
-  std::unique_ptr<LiveIntrospect> own_introspect;
-  LiveIntrospect* live = options_.introspect;
-  if (live == nullptr && params_.introspect) {
-    own_introspect = std::make_unique<LiveIntrospect>("coll");
-    live = own_introspect.get();
   }
 
   std::vector<RunResult> per_searcher(n);
@@ -123,8 +109,7 @@ MultisearchResult MultisearchTsmo::run() const {
 
     SearchState state(*inst_, p, Rng(p.seed), shared_cands);
     state.set_trace_id(id);
-    if (options_.recorder) state.set_recorder(options_.recorder);
-    if (live != nullptr) state.set_introspect(live);
+    scope.attach(state, id);
     state.initialize();
 
     // Random private communication list over the other searchers.
@@ -178,10 +163,6 @@ MultisearchResult MultisearchTsmo::run() const {
         local_timer.elapsed_seconds());
   };
 
-  obs::flight_engine_start("coll", procs, 0, params_.trace_id);
-  if (options_.recorder) {
-    options_.recorder->engine_started("coll", procs, 0);
-  }
   {
     std::vector<std::jthread> threads;
     threads.reserve(n);
@@ -197,26 +178,18 @@ MultisearchResult MultisearchTsmo::run() const {
   result.merged.refresh_throughput();
   result.messages_sent = messages_sent.load();
   result.messages_accepted = messages_accepted.load();
-  obs::flight_engine_finish("coll", result.merged.iterations, params_.trace_id);
-  if (options_.recorder) {
-    options_.recorder->engine_finished(result.merged.iterations);
-  }
+  scope.finish(result.merged.iterations);
   return result;
 }
 
 MultisearchResult MultisearchTsmo::run_deterministic() const {
-  telemetry::TraceScope trace_scope(
-      telemetry::TraceContext{params_.trace_id, params_.trace_parent_span});
-  if (params_.telemetry) telemetry::set_enabled(true);
-  if (params_.profile_hz > 0) prof::start(params_.profile_hz);
-  TSMO_SPAN("run.coll");
-  TSMO_PROFILE_FRAME("run.coll");
-  // Pool threads re-establish this ambient context per round step.
-  const telemetry::TraceContext searcher_ctx = telemetry::current_trace();
-  Timer timer;
   const int procs = std::max(2, processors_);
   const auto n = static_cast<std::size_t>(procs);
   const int exec = options_.exec_threads > 0 ? options_.exec_threads : procs;
+  RunScope scope("run.coll", params_, ctx_, procs, 0);
+  // Pool threads re-establish this ambient context per round step.
+  const telemetry::TraceContext searcher_ctx = telemetry::current_trace();
+  Timer timer;
 
   // Per-searcher state; each round's step touches only its own slot, so
   // rounds can fan out over any number of threads.
@@ -234,12 +207,6 @@ MultisearchResult MultisearchTsmo::run_deterministic() const {
     RunResult result;
   };
   std::vector<Searcher> searchers(n);
-  std::unique_ptr<LiveIntrospect> own_introspect;
-  LiveIntrospect* live = options_.introspect;
-  if (live == nullptr && params_.introspect) {
-    own_introspect = std::make_unique<LiveIntrospect>("coll");
-    live = own_introspect.get();
-  }
   const auto shared_cands = make_candidate_list(*inst_, params_.candidate_k);
   for (int id = 0; id < procs; ++id) {
     Searcher& s = searchers[static_cast<std::size_t>(id)];
@@ -250,8 +217,7 @@ MultisearchResult MultisearchTsmo::run_deterministic() const {
     s.state = std::make_unique<SearchState>(*inst_, s.p, Rng(s.p.seed),
                                             shared_cands);
     s.state->set_trace_id(id);
-    if (options_.recorder) s.state->set_recorder(options_.recorder);
-    if (live != nullptr) s.state->set_introspect(live);
+    scope.attach(*s.state, id);
     for (int k = 0; k < procs; ++k) {
       if (k != id) s.comm.push_back(k);
     }
@@ -260,10 +226,6 @@ MultisearchResult MultisearchTsmo::run_deterministic() const {
     }
   }
 
-  obs::flight_engine_start("coll", procs, 0, params_.trace_id);
-  if (options_.recorder) {
-    options_.recorder->engine_started("coll", procs, 0);
-  }
   ThreadPool pool(static_cast<unsigned>(std::max(1, exec)));
   {
     std::vector<std::future<void>> init;
@@ -351,10 +313,7 @@ MultisearchResult MultisearchTsmo::run_deterministic() const {
   result.merged = merge_results(result.per_searcher, "coll");
   result.merged.wall_seconds = timer.elapsed_seconds();
   result.merged.refresh_throughput();
-  obs::flight_engine_finish("coll", result.merged.iterations, params_.trace_id);
-  if (options_.recorder) {
-    options_.recorder->engine_finished(result.merged.iterations);
-  }
+  scope.finish(result.merged.iterations);
   return result;
 }
 

@@ -20,6 +20,7 @@
 
 #include <vector>
 
+#include "core/run_context.hpp"
 #include "core/run_result.hpp"
 #include "core/search_state.hpp"
 
@@ -43,25 +44,18 @@ struct MultisearchOptions {
   /// Threads executing the lock-step rounds; 0 selects one per searcher.
   /// Execution width only — never affects the result.
   int exec_threads = 0;
-  /// Anytime convergence recorder (DESIGN.md §9); each searcher attaches
-  /// under its searcher id.  Observation only, so deterministic
-  /// fingerprints are identical with or without it.  Must outlive the run.
-  ConvergenceRecorder* recorder = nullptr;
-  /// Live search-introspection hub (DESIGN.md §14); every searcher
-  /// registers its own slot.  Observation only.  When null and
-  /// params.introspect is set, the run creates its own.  Must outlive
-  /// the run.
-  LiveIntrospect* introspect = nullptr;
 };
 
 class MultisearchTsmo {
  public:
   MultisearchTsmo(const Instance& inst, const TsmoParams& params,
-                  int processors, MultisearchOptions options = {})
+                  int processors, MultisearchOptions options = {},
+                  RunContext ctx = {})
       : inst_(&inst),
         params_(params),
         processors_(processors),
-        options_(options) {}
+        options_(options),
+        ctx_(ctx) {}
 
   MultisearchResult run() const;
 
@@ -72,6 +66,7 @@ class MultisearchTsmo {
   TsmoParams params_;
   int processors_;
   MultisearchOptions options_;
+  RunContext ctx_;
 };
 
 /// Non-dominated union of several results (fronts and solutions); counters

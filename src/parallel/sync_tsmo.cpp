@@ -1,10 +1,8 @@
 #include "parallel/sync_tsmo.hpp"
 
 #include <algorithm>
-#include <memory>
 
 #include "core/sequential_tsmo.hpp"
-#include "obs/flight_recorder.hpp"
 #include "parallel/worker_team.hpp"
 #include "util/profiler.hpp"
 #include "util/telemetry.hpp"
@@ -14,37 +12,19 @@ namespace tsmo {
 
 RunResult SyncTsmo::run() const {
   if (options_.deterministic) return run_deterministic();
-  // Re-establish the caller's causal trace on this thread (DESIGN.md §13);
-  // every span below parents under the request's job.run span.
-  telemetry::TraceScope trace_scope(
-      telemetry::TraceContext{params_.trace_id, params_.trace_parent_span});
-  if (params_.telemetry) telemetry::set_enabled(true);
-  if (params_.profile_hz > 0) prof::start(params_.profile_hz);
-  TSMO_SPAN("run.sync");
-  TSMO_PROFILE_FRAME("run.sync");
+  const int procs = std::max(2, processors_);
+  RunScope scope("run.sync", params_, ctx_, 1, procs - 1);
   TSMO_TELEMETRY_ONLY(
       if (telemetry::enabled()) {
         telemetry::Registry::instance().set_thread_label("sync master");
       })
   Timer timer;
-  const int procs = std::max(2, processors_);
   const auto cands = make_candidate_list(*inst_, params_.candidate_k);
   SearchState state(*inst_, params_, Rng(params_.seed), cands);
   WorkerTeam team(*inst_, procs - 1, params_.seed, cands,
                   params_.batch_pricing);
-  obs::flight_engine_start("sync", 1, team.num_workers(), params_.trace_id);
-  if (options_.recorder) {
-    options_.recorder->engine_started("sync", 1, team.num_workers());
-    team.enable_heartbeats(*options_.recorder, "sync worker");
-    state.set_recorder(options_.recorder);
-  }
-  std::unique_ptr<LiveIntrospect> own_introspect;
-  LiveIntrospect* live = options_.introspect;
-  if (live == nullptr && params_.introspect) {
-    own_introspect = std::make_unique<LiveIntrospect>("sync");
-    live = own_introspect.get();
-  }
-  if (live != nullptr) state.set_introspect(live);
+  if (ctx_.recorder) team.enable_heartbeats(*ctx_.recorder, "sync worker");
+  scope.attach(state);
   state.initialize();
 
   std::uint64_t ticket = 0;
@@ -87,42 +67,25 @@ RunResult SyncTsmo::run() const {
     }
     state.step_with_candidates(candidates);
   }
-  obs::flight_engine_finish("sync", state.iterations(), params_.trace_id);
-  if (options_.recorder) options_.recorder->engine_finished(state.iterations());
+  scope.finish(state.iterations());
   return collect_result(state, "sync", timer.elapsed_seconds());
 }
 
 RunResult SyncTsmo::run_deterministic() const {
-  telemetry::TraceScope trace_scope(
-      telemetry::TraceContext{params_.trace_id, params_.trace_parent_span});
-  if (params_.telemetry) telemetry::set_enabled(true);
-  if (params_.profile_hz > 0) prof::start(params_.profile_hz);
-  TSMO_SPAN("run.sync");
-  TSMO_PROFILE_FRAME("run.sync");
+  const int procs = std::max(2, processors_);
+  const int exec =
+      options_.exec_threads > 0 ? options_.exec_threads : procs - 1;
+  RunScope scope("run.sync", params_, ctx_, 1, exec);
   TSMO_TELEMETRY_ONLY(
       if (telemetry::enabled()) {
         telemetry::Registry::instance().set_thread_label("sync master");
       })
   Timer timer;
-  const int procs = std::max(2, processors_);
-  const int exec =
-      options_.exec_threads > 0 ? options_.exec_threads : procs - 1;
   const auto cands = make_candidate_list(*inst_, params_.candidate_k);
   SearchState state(*inst_, params_, Rng(params_.seed), cands);
   WorkerTeam team(*inst_, exec, params_.seed, cands, params_.batch_pricing);
-  obs::flight_engine_start("sync", 1, team.num_workers(), params_.trace_id);
-  if (options_.recorder) {
-    options_.recorder->engine_started("sync", 1, team.num_workers());
-    team.enable_heartbeats(*options_.recorder, "sync worker");
-    state.set_recorder(options_.recorder);
-  }
-  std::unique_ptr<LiveIntrospect> own_introspect;
-  LiveIntrospect* live = options_.introspect;
-  if (live == nullptr && params_.introspect) {
-    own_introspect = std::make_unique<LiveIntrospect>("sync");
-    live = own_introspect.get();
-  }
-  if (live != nullptr) state.set_introspect(live);
+  if (ctx_.recorder) team.enable_heartbeats(*ctx_.recorder, "sync worker");
+  scope.attach(state);
   state.initialize();
   // Chunk seeds come from a dedicated schedule stream, so the logical
   // candidate sequence depends only on (seed, procs) — not on exec width.
@@ -178,8 +141,7 @@ RunResult SyncTsmo::run_deterministic() const {
     }
     state.step_with_candidates(candidates);
   }
-  obs::flight_engine_finish("sync", state.iterations(), params_.trace_id);
-  if (options_.recorder) options_.recorder->engine_finished(state.iterations());
+  scope.finish(state.iterations());
   return collect_result(state, "sync", timer.elapsed_seconds());
 }
 

@@ -13,6 +13,7 @@
 // "the behavior of the synchronous algorithm does not differ from the
 // sequential one" and no significant quality difference.
 
+#include "core/run_context.hpp"
 #include "core/run_result.hpp"
 #include "core/search_state.hpp"
 
@@ -29,25 +30,18 @@ struct SyncOptions {
   /// 0 selects `processors - 1`.  Execution width only — never affects
   /// the result.
   int exec_threads = 0;
-  /// Anytime convergence recorder (DESIGN.md §9); observation only, so
-  /// deterministic fingerprints are identical with or without it.  Must
-  /// outlive the run.
-  ConvergenceRecorder* recorder = nullptr;
-  /// Live search-introspection hub (DESIGN.md §14); observation only.
-  /// When null and params.introspect is set, the run creates its own.
-  /// Must outlive the run.
-  LiveIntrospect* introspect = nullptr;
 };
 
 class SyncTsmo {
  public:
   /// `processors` counts the master plus its workers (paper: 3, 6, 12).
   SyncTsmo(const Instance& inst, const TsmoParams& params, int processors,
-           SyncOptions options = {})
+           SyncOptions options = {}, RunContext ctx = {})
       : inst_(&inst),
         params_(params),
         processors_(processors),
-        options_(options) {}
+        options_(options),
+        ctx_(ctx) {}
 
   RunResult run() const;
 
@@ -58,6 +52,7 @@ class SyncTsmo {
   TsmoParams params_;
   int processors_;
   SyncOptions options_;
+  RunContext ctx_;
 };
 
 }  // namespace tsmo

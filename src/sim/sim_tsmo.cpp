@@ -7,7 +7,6 @@
 #include <string>
 
 #include "core/sequential_tsmo.hpp"
-#include "obs/flight_recorder.hpp"
 #include "sim/des.hpp"
 #include "util/telemetry.hpp"
 
@@ -110,10 +109,10 @@ double selection_cost(std::size_t pool_size, const CostModel& cost) {
 // ---------------------------------------------------------------------------
 
 RunResult run_sim_sequential(const Instance& inst, const TsmoParams& params,
-                             const CostModel& cost) {
-  if (params.telemetry) telemetry::set_enabled(true);
-  TSMO_SPAN("run.sim-sequential");
+                             const CostModel& cost, const RunContext& ctx) {
+  RunScope scope("run.sim-sequential", params, ctx, 1, 0);
   SearchState state(inst, params, Rng(params.seed));
+  scope.attach(state);
   state.initialize();
   double t = cost.eval_us;  // initial construction
   while (!state.budget_exhausted()) {
@@ -127,6 +126,7 @@ RunResult run_sim_sequential(const Instance& inst, const TsmoParams& params,
     t += selection_cost(candidates.size(), cost);
     state.step_with_candidates(candidates);
   }
+  scope.finish(state.iterations());
   RunResult r = collect_result(state, "sim-sequential", 0.0);
   r.sim_seconds = t * 1e-6;
   r.refresh_throughput();
@@ -138,12 +138,13 @@ RunResult run_sim_sequential(const Instance& inst, const TsmoParams& params,
 // ---------------------------------------------------------------------------
 
 RunResult run_sim_sync(const Instance& inst, const TsmoParams& params,
-                       int processors, const CostModel& cost) {
-  if (params.telemetry) telemetry::set_enabled(true);
-  TSMO_SPAN("run.sim-sync");
+                       int processors, const CostModel& cost,
+                       const RunContext& ctx) {
   const int procs = std::max(2, processors);
+  RunScope scope("run.sim-sync", params, ctx, 1, procs - 1);
   const auto cands = make_candidate_list(inst, params.candidate_k);
   SearchState state(inst, params, Rng(params.seed), cands);
+  scope.attach(state);
   state.initialize();
   Rng noise(params.seed ^ 0xd015eULL);
 
@@ -202,6 +203,7 @@ RunResult run_sim_sync(const Instance& inst, const TsmoParams& params,
     state.step_with_candidates(pool);
   }
   export_sim_worker_gauges(workers, t);
+  scope.finish(state.iterations());
   RunResult r = collect_result(state, "sim-sync", 0.0);
   r.sim_seconds = t * 1e-6;
   r.refresh_throughput();
@@ -216,9 +218,11 @@ namespace {
 
 class AsyncSimCore {
  public:
+  /// Attaches the master to `scope` under `searcher` before initializing.
   AsyncSimCore(const Instance& inst, const TsmoParams& params,
                int processors, const CostModel& cost,
-               SimAsyncOptions options)
+               SimAsyncOptions options, const RunScope& scope,
+               int searcher = 0)
       : params_(params),
         cost_(cost),
         options_(std::move(options)),
@@ -237,9 +241,7 @@ class AsyncSimCore {
       workers_.emplace_back(inst, w, stream_seed.split(), cands_,
                             params.batch_pricing);
     }
-    if (options_.recorder) {
-      state_.set_recorder(options_.recorder, options_.searcher_id);
-    }
+    scope.attach(state_, searcher);
     state_.initialize();
   }
 
@@ -381,15 +383,11 @@ class AsyncSimCore {
 
 RunResult run_sim_async(const Instance& inst, const TsmoParams& params,
                         int processors, const CostModel& cost,
-                        SimAsyncOptions options) {
-  if (params.telemetry) telemetry::set_enabled(true);
-  TSMO_SPAN("run.sim-async");
-  ConvergenceRecorder* rec = options.recorder;
-  obs::flight_engine_start("sim-async", 1, std::max(2, processors) - 1);
-  if (rec) {
-    rec->engine_started("sim-async", 1, std::max(2, processors) - 1);
-  }
-  AsyncSimCore core(inst, params, processors, cost, std::move(options));
+                        SimAsyncOptions options, const RunContext& ctx) {
+  RunScope scope("run.sim-async", params, ctx, 1,
+                 std::max(2, processors) - 1);
+  AsyncSimCore core(inst, params, processors, cost, std::move(options),
+                    scope);
   double t = cost.eval_us;  // initial construction
   while (!core.done()) {
     const auto iter = core.iterate(t);
@@ -397,8 +395,7 @@ RunResult run_sim_async(const Instance& inst, const TsmoParams& params,
     if (!iter.progressed) break;
   }
   core.export_worker_gauges(t);
-  obs::flight_engine_finish("sim-async", core.state().iterations());
-  if (rec) rec->engine_finished(core.state().iterations());
+  scope.finish(core.state().iterations());
   RunResult r = collect_result(core.state(), "sim-async", 0.0);
   r.sim_seconds = t * 1e-6;
   r.refresh_throughput();
@@ -412,10 +409,10 @@ RunResult run_sim_async(const Instance& inst, const TsmoParams& params,
 MultisearchResult run_sim_multisearch(const Instance& inst,
                                       const TsmoParams& params,
                                       int processors,
-                                      const CostModel& cost) {
-  if (params.telemetry) telemetry::set_enabled(true);
-  TSMO_SPAN("run.sim-coll");
+                                      const CostModel& cost,
+                                      const RunContext& ctx) {
   const int procs = std::max(2, processors);
+  RunScope scope("run.sim-coll", params, ctx, procs, 0);
   const auto n = static_cast<std::size_t>(procs);
   const double contention = cost.contention_factor(procs);
 
@@ -439,6 +436,7 @@ MultisearchResult run_sim_multisearch(const Instance& inst,
     s.params.seed = rng.next();
     s.state =
         std::make_unique<SearchState>(inst, s.params, Rng(s.params.seed));
+    scope.attach(*s.state, id);
     s.state->initialize();
     for (int k = 0; k < procs; ++k) {
       if (k != id) s.comm.push_back(k);
@@ -511,6 +509,7 @@ MultisearchResult run_sim_multisearch(const Instance& inst,
     result.per_searcher.push_back(std::move(r));
   }
   result.merged = merge_results(result.per_searcher, "sim-coll");
+  scope.finish(result.merged.iterations);
   result.messages_sent = messages_sent;
   result.messages_accepted = messages_accepted;
   return result;
@@ -523,10 +522,11 @@ MultisearchResult run_sim_multisearch(const Instance& inst,
 MultisearchResult run_sim_hybrid(const Instance& inst,
                                  const TsmoParams& params, int islands,
                                  int procs_per_island,
-                                 const CostModel& cost) {
-  if (params.telemetry) telemetry::set_enabled(true);
-  TSMO_SPAN("run.sim-hybrid");
+                                 const CostModel& cost,
+                                 const RunContext& ctx) {
   const int k = std::max(2, islands);
+  RunScope scope("run.sim-hybrid", params, ctx, k,
+                 k * (std::max(2, procs_per_island) - 1));
   const auto n = static_cast<std::size_t>(k);
   const double contention = cost.contention_factor(k);
 
@@ -548,7 +548,8 @@ MultisearchResult run_sim_hybrid(const Instance& inst,
     isl.params.max_evaluations = params.max_evaluations;
     isl.params.seed = rng.next();
     isl.core = std::make_unique<AsyncSimCore>(
-        inst, isl.params, procs_per_island, cost, SimAsyncOptions{});
+        inst, isl.params, procs_per_island, cost, SimAsyncOptions{}, scope,
+        id);
     for (int j = 0; j < k; ++j) {
       if (j != id) isl.comm.push_back(j);
     }
@@ -615,6 +616,7 @@ MultisearchResult run_sim_hybrid(const Instance& inst,
     result.per_searcher.push_back(std::move(r));
   }
   result.merged = merge_results(result.per_searcher, "sim-hybrid");
+  scope.finish(result.merged.iterations);
   result.messages_sent = messages_sent;
   result.messages_accepted = messages_accepted;
   return result;

@@ -12,9 +12,13 @@
 // Ts_sim / Tp_sim.
 //
 // Everything here is deterministic in (instance, params, processors, seed).
+// Each driver takes a RunContext like the threaded engines; its searchers
+// attach to the recorder under their index, while their trace ids stay 0
+// so fingerprints do not depend on the context.
 
 #include <functional>
 
+#include "core/run_context.hpp"
 #include "core/run_result.hpp"
 #include "core/search_state.hpp"
 #include "parallel/multisearch_tsmo.hpp"
@@ -24,13 +28,15 @@ namespace tsmo {
 
 /// Sequential TSMO with virtual-time accounting (the Ts baseline).
 RunResult run_sim_sequential(const Instance& inst, const TsmoParams& params,
-                             const CostModel& cost);
+                             const CostModel& cost,
+                             const RunContext& ctx = {});
 
 /// Synchronous master-worker (§III.C): per iteration the master dispatches
 /// chunks, computes its own, and blocks at a barrier until the slowest
 /// worker (straggler noise applies) has returned.
 RunResult run_sim_sync(const Instance& inst, const TsmoParams& params,
-                       int processors, const CostModel& cost);
+                       int processors, const CostModel& cost,
+                       const RunContext& ctx = {});
 
 /// Per-master-iteration snapshot of the asynchronous search, used by the
 /// Fig. 1 trajectory bench: the candidate pool considered (which may mix
@@ -56,25 +62,21 @@ struct SimAsyncOptions {
   bool use_c2 = true;
   /// Invoked after every master iteration when set.
   std::function<void(const SimAsyncIterationEvent&)> observer;
-  /// Anytime convergence recorder (DESIGN.md §9); the simulated master
-  /// attaches under `searcher_id` (which deliberately does NOT change the
-  /// search's trace id, so fingerprints stay identical with the recorder
-  /// on or off).  Observation only; must outlive the run.
-  ConvergenceRecorder* recorder = nullptr;
-  int searcher_id = 0;
 };
 
 /// Asynchronous master-worker (§III.D, Algorithm 2) on the virtual clock.
 RunResult run_sim_async(const Instance& inst, const TsmoParams& params,
                         int processors, const CostModel& cost,
-                        SimAsyncOptions options = {});
+                        SimAsyncOptions options = {},
+                        const RunContext& ctx = {});
 
 /// Collaborative multisearch (§III.E) on a discrete-event simulation:
 /// searchers interleave on the virtual timeline and solution messages are
 /// delivered with latency.  Deterministic, unlike the threaded variant.
 MultisearchResult run_sim_multisearch(const Instance& inst,
                                       const TsmoParams& params,
-                                      int processors, const CostModel& cost);
+                                      int processors, const CostModel& cost,
+                                      const RunContext& ctx = {});
 
 /// The paper's future-work hybrid (§V): `islands` collaborative islands,
 /// each an asynchronous master-worker group of `procs_per_island`
@@ -82,6 +84,7 @@ MultisearchResult run_sim_multisearch(const Instance& inst,
 MultisearchResult run_sim_hybrid(const Instance& inst,
                                  const TsmoParams& params, int islands,
                                  int procs_per_island,
-                                 const CostModel& cost);
+                                 const CostModel& cost,
+                                 const RunContext& ctx = {});
 
 }  // namespace tsmo

@@ -72,7 +72,7 @@ bool set_enabled(bool on) noexcept;
 // wall clock and no RNG anywhere in the id path, so tracing can never
 // perturb a seeded run.  The context propagates two ways: ambiently via a
 // thread-local (TraceScope / Span nesting on one thread) and explicitly via
-// TsmoParams across thread boundaries (engines re-establish scope on their
+// RunContext across thread boundaries (engines re-establish scope on their
 // master and worker threads).
 // ---------------------------------------------------------------------------
 
@@ -95,7 +95,7 @@ TraceContext current_trace() noexcept;
 void set_current_trace(TraceContext ctx) noexcept;
 
 /// RAII ambient-context scope.  An invalid context arms nothing, so passing
-/// TsmoParams ids through unconditionally is safe for untraced runs.
+/// RunContext ids through unconditionally is safe for untraced runs.
 class TraceScope {
  public:
   explicit TraceScope(TraceContext ctx) noexcept {

@@ -300,7 +300,9 @@ TEST(Recorder, AllFourEnginesEmitSamplesAndAttribution) {
 
   auto check = [&](const char* name, auto&& run) {
     ConvergenceRecorder rec(test_config(inst));
-    const RunResult r = run(rec);
+    RunContext ctx;
+    ctx.recorder = &rec;
+    const RunResult r = run(ctx);
     SCOPED_TRACE(name);
     EXPECT_FALSE(rec.insertions().empty());
     EXPECT_FALSE(rec.samples().empty());
@@ -314,25 +316,20 @@ TEST(Recorder, AllFourEnginesEmitSamplesAndAttribution) {
     }
   };
 
-  check("sync", [&](ConvergenceRecorder& rec) {
-    SyncOptions o;
-    o.recorder = &rec;
-    return SyncTsmo(inst, params, 3, o).run();
+  check("seq", [&](const RunContext& ctx) {
+    return SequentialTsmo(inst, params, ctx).run();
   });
-  check("async", [&](ConvergenceRecorder& rec) {
-    AsyncOptions o;
-    o.recorder = &rec;
-    return AsyncTsmo(inst, params, 3, o).run();
+  check("sync", [&](const RunContext& ctx) {
+    return SyncTsmo(inst, params, 3, {}, ctx).run();
   });
-  check("coll", [&](ConvergenceRecorder& rec) {
-    MultisearchOptions o;
-    o.recorder = &rec;
-    return MultisearchTsmo(inst, params, 3, o).run().merged;
+  check("async", [&](const RunContext& ctx) {
+    return AsyncTsmo(inst, params, 3, {}, ctx).run();
   });
-  check("hybrid", [&](ConvergenceRecorder& rec) {
-    HybridOptions o;
-    o.recorder = &rec;
-    return HybridTsmo(inst, params, 2, 2, o).run().merged;
+  check("coll", [&](const RunContext& ctx) {
+    return MultisearchTsmo(inst, params, 3, {}, ctx).run().merged;
+  });
+  check("hybrid", [&](const RunContext& ctx) {
+    return HybridTsmo(inst, params, 2, 2, {}, ctx).run().merged;
   });
 }
 

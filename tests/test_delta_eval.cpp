@@ -8,6 +8,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -96,6 +97,15 @@ struct FuzzConfig {
   int states;          // random starting solutions
   int moves_per_state; // applicable moves checked per state
 };
+
+// gtest would otherwise print a FuzzConfig as its raw bytes, which include
+// the ASLR-randomised address of `instance`, and ctest names each case
+// after that printout — so the test names would change from build to build.
+// Printed as `<instance> <states>x<moves_per_state>`, kept terse so the
+// whole ctest name stays under 100 characters.
+void PrintTo(const FuzzConfig& c, std::ostream* os) {
+  *os << c.instance << ' ' << c.states << 'x' << c.moves_per_state;
+}
 
 class DeltaEvalFuzz : public ::testing::TestWithParam<FuzzConfig> {};
 

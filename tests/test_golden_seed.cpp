@@ -242,41 +242,56 @@ TEST_F(GoldenSeedTest, RecorderOnOffFingerprintsIdentical) {
 
   {
     ConvergenceRecorder rec(cc);
-    SyncOptions off, on;
-    off.deterministic = on.deterministic = true;
+    RunContext on;
     on.recorder = &rec;
-    expect_identical({SyncTsmo(inst_, golden_params(seed), 4, off).run(),
-                      SyncTsmo(inst_, golden_params(seed), 4, on).run()},
+    expect_identical({SequentialTsmo(inst_, golden_params(seed)).run(),
+                      SequentialTsmo(inst_, golden_params(seed), on).run()},
+                     "sequential.recorder.seed" + std::to_string(seed));
+    EXPECT_FALSE(rec.samples().empty());
+    EXPECT_FALSE(rec.insertions().empty());
+  }
+  {
+    ConvergenceRecorder rec(cc);
+    SyncOptions det;
+    det.deterministic = true;
+    RunContext on;
+    on.recorder = &rec;
+    expect_identical({SyncTsmo(inst_, golden_params(seed), 4, det).run(),
+                      SyncTsmo(inst_, golden_params(seed), 4, det, on).run()},
                      "sync-det.recorder.seed" + std::to_string(seed));
     EXPECT_FALSE(rec.samples().empty());
   }
   {
     ConvergenceRecorder rec(cc);
-    AsyncOptions off, on;
-    off.deterministic = on.deterministic = true;
+    AsyncOptions det;
+    det.deterministic = true;
+    RunContext on;
     on.recorder = &rec;
-    expect_identical({AsyncTsmo(inst_, golden_params(seed), 4, off).run(),
-                      AsyncTsmo(inst_, golden_params(seed), 4, on).run()},
-                     "async-det.recorder.seed" + std::to_string(seed));
+    expect_identical(
+        {AsyncTsmo(inst_, golden_params(seed), 4, det).run(),
+         AsyncTsmo(inst_, golden_params(seed), 4, det, on).run()},
+        "async-det.recorder.seed" + std::to_string(seed));
   }
   {
     ConvergenceRecorder rec(cc);
-    MultisearchOptions off, on;
-    off.deterministic = on.deterministic = true;
+    MultisearchOptions det;
+    det.deterministic = true;
+    RunContext on;
     on.recorder = &rec;
     expect_identical(
-        {MultisearchTsmo(inst_, golden_params(seed), 3, off).run().merged,
-         MultisearchTsmo(inst_, golden_params(seed), 3, on).run().merged},
+        {MultisearchTsmo(inst_, golden_params(seed), 3, det).run().merged,
+         MultisearchTsmo(inst_, golden_params(seed), 3, det, on).run().merged},
         "coll-det.recorder.seed" + std::to_string(seed));
   }
   {
     ConvergenceRecorder rec(cc);
-    HybridOptions off, on;
-    off.deterministic = on.deterministic = true;
+    HybridOptions det;
+    det.deterministic = true;
+    RunContext on;
     on.recorder = &rec;
     expect_identical(
-        {HybridTsmo(inst_, golden_params(seed), 2, 2, off).run().merged,
-         HybridTsmo(inst_, golden_params(seed), 2, 2, on).run().merged},
+        {HybridTsmo(inst_, golden_params(seed), 2, 2, det).run().merged,
+         HybridTsmo(inst_, golden_params(seed), 2, 2, det, on).run().merged},
         "hybrid-det.recorder.seed" + std::to_string(seed));
   }
 }
@@ -319,16 +334,12 @@ TEST_F(GoldenSeedTest, ServeAndFlightRecorderFingerprintsIdentical) {
     }
   });
 
-  AsyncOptions async_on;
-  async_on.deterministic = true;
-  async_on.recorder = &rec;
+  RunContext on;
+  on.recorder = &rec;
   const RunResult async_instrumented =
-      AsyncTsmo(inst_, golden_params(seed), 4, async_on).run();
-  SyncOptions sync_on;
-  sync_on.deterministic = true;
-  sync_on.recorder = &rec;
+      AsyncTsmo(inst_, golden_params(seed), 4, async_off, on).run();
   const RunResult sync_instrumented =
-      SyncTsmo(inst_, golden_params(seed), 4, sync_on).run();
+      SyncTsmo(inst_, golden_params(seed), 4, sync_off, on).run();
 
   done.store(true, std::memory_order_release);
   scraper.join();
@@ -380,12 +391,14 @@ TEST_F(GoldenSeedTest, TsdbAndSloOnOffFingerprintsIdentical) {
   });
 
   std::vector<RunResult> runs{async_base};
+  RunContext with_recorder;
+  with_recorder.recorder = &rec;
   for (int exec : kExecWidths) {
     AsyncOptions on;
     on.deterministic = true;
     on.exec_threads = exec;
-    on.recorder = &rec;
-    runs.push_back(AsyncTsmo(inst_, golden_params(seed), 4, on).run());
+    runs.push_back(
+        AsyncTsmo(inst_, golden_params(seed), 4, on, with_recorder).run());
   }
 
   done.store(true, std::memory_order_release);
@@ -500,15 +513,16 @@ TEST_F(GoldenSeedTest, PrunedModeDeterministicAcrossWidths) {
 /// for every engine, across 1/2/4 execution threads.
 TEST_F(GoldenSeedTest, ProfilerAndIntrospectOnOffFingerprintsIdentical) {
   const std::uint64_t seed = kSeeds[0];
-  const TsmoParams bare = golden_params(seed);
-  TsmoParams observed = bare;
-  observed.introspect = true;
+  const TsmoParams params = golden_params(seed);
+  LiveIntrospect hub("golden");
+  RunContext observed;
+  observed.introspect = &hub;
   observed.profile_hz = 199;  // off the default 99 to prove the knob works
 
   {
     std::vector<RunResult> runs;
-    runs.push_back(SequentialTsmo(inst_, bare).run());
-    runs.push_back(SequentialTsmo(inst_, observed).run());
+    runs.push_back(SequentialTsmo(inst_, params).run());
+    runs.push_back(SequentialTsmo(inst_, params, observed).run());
     // The observed run actually collected something.
     EXPECT_GT(runs.back().introspect.steps, 0u);
     EXPECT_GT(runs.back().introspect.total_proposed(), 0u);
@@ -518,12 +532,12 @@ TEST_F(GoldenSeedTest, ProfilerAndIntrospectOnOffFingerprintsIdentical) {
     std::vector<RunResult> runs;
     SyncOptions off;
     off.deterministic = true;
-    runs.push_back(SyncTsmo(inst_, bare, 4, off).run());
+    runs.push_back(SyncTsmo(inst_, params, 4, off).run());
     for (int exec : kExecWidths) {
       SyncOptions on;
       on.deterministic = true;
       on.exec_threads = exec;
-      runs.push_back(SyncTsmo(inst_, observed, 4, on).run());
+      runs.push_back(SyncTsmo(inst_, params, 4, on, observed).run());
     }
     expect_identical(runs, "sync-det.profiled.seed" + std::to_string(seed));
   }
@@ -531,12 +545,12 @@ TEST_F(GoldenSeedTest, ProfilerAndIntrospectOnOffFingerprintsIdentical) {
     std::vector<RunResult> runs;
     AsyncOptions off;
     off.deterministic = true;
-    runs.push_back(AsyncTsmo(inst_, bare, 4, off).run());
+    runs.push_back(AsyncTsmo(inst_, params, 4, off).run());
     for (int exec : kExecWidths) {
       AsyncOptions on;
       on.deterministic = true;
       on.exec_threads = exec;
-      runs.push_back(AsyncTsmo(inst_, observed, 4, on).run());
+      runs.push_back(AsyncTsmo(inst_, params, 4, on, observed).run());
     }
     expect_identical(runs, "async-det.profiled.seed" + std::to_string(seed));
   }
@@ -544,12 +558,13 @@ TEST_F(GoldenSeedTest, ProfilerAndIntrospectOnOffFingerprintsIdentical) {
     std::vector<RunResult> runs;
     MultisearchOptions off;
     off.deterministic = true;
-    runs.push_back(MultisearchTsmo(inst_, bare, 3, off).run().merged);
+    runs.push_back(MultisearchTsmo(inst_, params, 3, off).run().merged);
     for (int exec : kExecWidths) {
       MultisearchOptions on;
       on.deterministic = true;
       on.exec_threads = exec;
-      runs.push_back(MultisearchTsmo(inst_, observed, 3, on).run().merged);
+      runs.push_back(
+          MultisearchTsmo(inst_, params, 3, on, observed).run().merged);
     }
     EXPECT_GT(runs.back().introspect.steps, 0u);
     expect_identical(runs, "coll-det.profiled.seed" + std::to_string(seed));
@@ -558,12 +573,13 @@ TEST_F(GoldenSeedTest, ProfilerAndIntrospectOnOffFingerprintsIdentical) {
     std::vector<RunResult> runs;
     HybridOptions off;
     off.deterministic = true;
-    runs.push_back(HybridTsmo(inst_, bare, 2, 2, off).run().merged);
+    runs.push_back(HybridTsmo(inst_, params, 2, 2, off).run().merged);
     for (int exec : kExecWidths) {
       HybridOptions on;
       on.deterministic = true;
       on.exec_threads = exec;
-      runs.push_back(HybridTsmo(inst_, observed, 2, 2, on).run().merged);
+      runs.push_back(
+          HybridTsmo(inst_, params, 2, 2, on, observed).run().merged);
     }
     expect_identical(runs, "hybrid-det.profiled.seed" + std::to_string(seed));
   }

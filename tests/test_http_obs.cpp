@@ -423,10 +423,9 @@ TEST(HttpObs, StatusMatchesConvergenceRecorder) {
   cc.sample_every_iters = 5;
   ConvergenceRecorder rec(cc);
 
-  AsyncOptions options;
-  options.recorder = &rec;
-  const RunResult result =
-      AsyncTsmo(inst, quick_params(7), 4, options).run();
+  RunContext ctx;
+  ctx.recorder = &rec;
+  const RunResult result = AsyncTsmo(inst, quick_params(7), 4, {}, ctx).run();
   ASSERT_FALSE(result.front.empty());
 
   obs::ObsServer server;
@@ -501,9 +500,9 @@ TEST(HttpObs, ConcurrentScrapesDuringLiveRunStayValid) {
   TsmoParams params = quick_params(11);
   params.max_evaluations = 20000;
   params.telemetry = true;
-  AsyncOptions options;
-  options.recorder = &rec;
-  const RunResult result = AsyncTsmo(inst, params, 4, options).run();
+  RunContext ctx;
+  ctx.recorder = &rec;
+  const RunResult result = AsyncTsmo(inst, params, 4, {}, ctx).run();
   done.store(true, std::memory_order_release);
   scraper.join();
 

@@ -164,8 +164,9 @@ TEST(IntrospectEngines, HubReceivesPublishesAndMergeSums) {
     LiveIntrospect hub("sync-run");
     SyncOptions so;
     so.deterministic = true;
-    so.introspect = &hub;
-    const RunResult r = SyncTsmo(inst, small_params(), 3, so).run();
+    RunContext ctx;
+    ctx.introspect = &hub;
+    const RunResult r = SyncTsmo(inst, small_params(), 3, so, ctx).run();
     EXPECT_GT(hub.totals().steps, 0u);
     EXPECT_EQ(hub.totals().steps, r.introspect.steps);
   }
@@ -173,9 +174,10 @@ TEST(IntrospectEngines, HubReceivesPublishesAndMergeSums) {
     LiveIntrospect hub("coll-run");
     MultisearchOptions mo;
     mo.deterministic = true;
-    mo.introspect = &hub;
+    RunContext ctx;
+    ctx.introspect = &hub;
     const MultisearchResult r =
-        MultisearchTsmo(inst, small_params(), 3, mo).run();
+        MultisearchTsmo(inst, small_params(), 3, mo, ctx).run();
     // merged carries the sum over searchers; each searcher stepped.
     std::uint64_t per_searcher_sum = 0;
     for (const RunResult& s : r.per_searcher) {
@@ -187,14 +189,17 @@ TEST(IntrospectEngines, HubReceivesPublishesAndMergeSums) {
   }
 }
 
-/// params.introspect without an options hub makes the engine own one —
-/// the run must still populate RunResult::introspect identically.
+/// A hub passed through the run context alone (no options) must leave
+/// RunResult::introspect identical to the bare run.
 TEST(IntrospectEngines, ParamsFlagAloneCollects) {
   const Instance inst = small_instance();
-  TsmoParams p = small_params();
+  const TsmoParams p = small_params();
   const RunResult bare = SequentialTsmo(inst, p).run();
-  p.introspect = true;
-  const RunResult observed = SequentialTsmo(inst, p).run();
+  LiveIntrospect hub("seq-run");
+  RunContext ctx;
+  ctx.introspect = &hub;
+  const RunResult observed = SequentialTsmo(inst, p, ctx).run();
+  EXPECT_EQ(hub.totals().steps, observed.introspect.steps);
   EXPECT_EQ(bare.archive_fingerprint, observed.archive_fingerprint);
   EXPECT_EQ(bare.introspect.steps, observed.introspect.steps);
   EXPECT_GT(observed.introspect.steps, 0u);

@@ -251,7 +251,7 @@ TEST(JobApi, OversizedInputsFailTheJobNamingTheField) {
       "processors: 100000 is outside [0, 64]");
   // 4294967496 is 200 after a silent int truncation.
   for (const char* field : {"neighborhood", "tenure", "archive",
-                            "restart_after", "candidate_k"}) {
+                            "restart_after", "candidate_k", "profile_hz"}) {
     expect_failed(std::string("{\"instance\": \"R1_1_1\", \"params\": "
                               "{\"") +
                       field + "\": 4294967496}}",
@@ -550,6 +550,54 @@ TEST(JobApi, HealthzReportsTheJobPlane) {
   EXPECT_EQ(jobs->find("running")->as_int64(), 0);
   EXPECT_EQ(jobs->find("accepted")->as_int64(), 1);
   EXPECT_EQ(jobs->find("done")->as_int64(), 1);
+}
+
+/// Seq jobs feed the recorder like every other engine: the runner reports
+/// a first-front latency, so seq jobs at the default 2000 ms target are
+/// not first-front SLO misses.
+TEST(JobApi, SeqJobsReportTheirFirstFront) {
+  const obs::JobOutcome direct = run_job_body(quick_body(), {});
+  ASSERT_TRUE(direct.ok) << direct.error;
+  EXPECT_GT(direct.first_front_ns, 0u);
+
+  JobService svc;
+  std::string body;
+  for (std::uint64_t seed : {1, 2, 3}) {
+    ASSERT_EQ(svc.request("POST", "/jobs", quick_body(seed), body), 202);
+    ASSERT_TRUE(wait_for_state(svc, id_of(body), "done"));
+  }
+  const obs::JobManager::Stats stats = svc.jobs.stats();
+  EXPECT_EQ(stats.first_front_total, 3u);
+  EXPECT_EQ(stats.first_front_slow, 0u);
+}
+
+/// A running seq job serves its anytime front on GET /jobs/<id>.
+TEST(JobApi, RunningSeqJobServesALiveFront) {
+  JobService svc;
+  std::string body;
+  ASSERT_EQ(svc.request("POST", "/jobs", long_body(), body), 202);
+  const std::string id = id_of(body);
+  ASSERT_TRUE(wait_for_state(svc, id, "running"));
+
+  std::string engine;
+  std::int64_t front_size = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (front_size == 0 && std::chrono::steady_clock::now() < deadline) {
+    ASSERT_EQ(svc.request("GET", "/jobs/" + id, "", body), 200);
+    const std::unique_ptr<JsonValue> doc = json_parse(body);
+    ASSERT_NE(doc, nullptr) << body;
+    if (const JsonValue* live = doc->find("live")) {
+      engine = live->find("engine")->as_string();
+      front_size = live->find("front_size")->as_int64();
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(engine, "sequential");
+  EXPECT_GT(front_size, 0);
+
+  ASSERT_EQ(svc.request("DELETE", "/jobs/" + id, "", body), 202);
+  ASSERT_TRUE(wait_for_state(svc, id, "cancelled"));
 }
 
 }  // namespace

@@ -248,16 +248,17 @@ TEST(TraceNeutrality, FingerprintsIdenticalTracedOrNot) {
 
     TsmoParams traced = trace_params(seed);
     traced.telemetry = true;
-    traced.trace_id = telemetry::derive_trace_id(seed);
-    traced.trace_parent_span = telemetry::next_span_id(traced.trace_id);
+    RunContext ctx;
+    ctx.trace.trace_id = telemetry::derive_trace_id(seed);
+    ctx.trace.span_id = telemetry::next_span_id(ctx.trace.trace_id);
     telemetry::TraceBuffer buf(4096);
 #if TSMO_TELEMETRY_ENABLED
-    ASSERT_TRUE(
-        telemetry::Registry::instance().attach_trace(traced.trace_id, &buf));
+    ASSERT_TRUE(telemetry::Registry::instance().attach_trace(
+        ctx.trace.trace_id, &buf));
 #endif
-    const RunResult collected = SequentialTsmo(inst, traced).run();
+    const RunResult collected = SequentialTsmo(inst, traced, ctx).run();
 #if TSMO_TELEMETRY_ENABLED
-    telemetry::Registry::instance().detach_trace(traced.trace_id);
+    telemetry::Registry::instance().detach_trace(ctx.trace.trace_id);
     EXPECT_GT(buf.seen(), 0u) << "tracing-on run collected no spans";
 #endif
     telemetry::set_enabled(false);
@@ -278,10 +279,11 @@ TEST(TraceNeutrality, SyncDeterministicUnaffectedByTraceIds) {
   const RunResult plain =
       SyncTsmo(inst, trace_params(7), 4, options).run();
 
-  TsmoParams traced = trace_params(7);
-  traced.trace_id = telemetry::derive_trace_id(7);
-  traced.trace_parent_span = telemetry::next_span_id(traced.trace_id);
-  const RunResult with_ids = SyncTsmo(inst, traced, 4, options).run();
+  RunContext ctx;
+  ctx.trace.trace_id = telemetry::derive_trace_id(7);
+  ctx.trace.span_id = telemetry::next_span_id(ctx.trace.trace_id);
+  const RunResult with_ids =
+      SyncTsmo(inst, trace_params(7), 4, options, ctx).run();
 
   EXPECT_EQ(plain.trace_fingerprint, with_ids.trace_fingerprint);
   EXPECT_EQ(plain.archive_fingerprint, with_ids.archive_fingerprint);
