@@ -289,15 +289,15 @@ double ns_per_eval(F&& f, int batch, int min_ms = 80, int reps = 3) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end search throughput across the four sampling/pricing configs,
-// measured as *equivalent-progress* iterations per second:
+// End-to-end search throughput of the two sampling configs, measured as
+// *equivalent-progress* iterations per second:
 //
-//   1. The reference config (uniform sampling + single-move pricing — the
-//      pre-candidate-list pipeline) runs a fixed budget of full TSMO
-//      iterations (generate + select + memory update) and records its final
-//      anytime hypervolume H* (IncrementalHypervolume against the
-//      instance's convergence_reference) and wall time T_ref.
-//   2. Every other config runs the *same* search loop until its anytime
+//   1. The reference config (uniform sampling — the pre-candidate-list
+//      pipeline) runs a fixed budget of full TSMO iterations (generate +
+//      select + memory update) and records its final anytime hypervolume
+//      H* (IncrementalHypervolume against the instance's
+//      convergence_reference) and wall time T_ref.
+//   2. The pruned config runs the *same* search loop until its anytime
 //      hypervolume reaches H* (capped at 4x the budget), taking time T.
 //   3. Its rate is budget / T — iterations-of-equivalent-search-progress
 //      per second — and its speedup is T_ref / T.
@@ -306,9 +306,7 @@ double ns_per_eval(F&& f, int batch, int min_ms = 80, int reps = 3) {
 // propose far better moves, so raw same-iteration-count throughput would
 // credit a config for doing *worse* search faster.  Equal-quality wall
 // time is the end-to-end measure of the pipeline: identical search state
-// machine, identical stopping quality, only the sampling/pricing differs.
-// uniform+batch samples bitwise-identically to the reference, so its
-// number degrades gracefully to the pure batch-pricing throughput ratio.
+// machine, identical stopping quality, only the sampling differs.
 // Everything is deterministic per (instance, seed, config): reps differ
 // only in timing noise, and the min over reps is reported.
 //
@@ -345,14 +343,13 @@ struct E2eRun {
 /// Runs one config's search loop.  With `target` < 0: exactly `budget`
 /// iterations (the reference run).  Otherwise: until the anytime
 /// hypervolume reaches `target`, capped at `budget` iterations.
-E2eRun run_end_to_end(const Instance& inst, int candidate_k, bool batch,
+E2eRun run_end_to_end(const Instance& inst, int candidate_k,
                       const std::shared_ptr<const CandidateList>& cands,
                       std::int64_t budget, double target, int reps = 2) {
   TsmoParams p;
   p.max_evaluations = std::numeric_limits<std::int64_t>::max() / 2;
   p.neighborhood_size = kEndToEndNeighborhood;
   p.candidate_k = candidate_k;
-  p.batch_pricing = batch;
   p.seed = 17;
   E2eRun out;
   out.seconds = std::numeric_limits<double>::infinity();
@@ -383,26 +380,13 @@ E2eRun run_end_to_end(const Instance& inst, int candidate_k, bool batch,
   return out;
 }
 
-void write_e2e_config(JsonWriter& json, const char* key, const E2eRun& run,
-                      const E2eRun& ref) {
-  json.key(key).begin_object();
-  json.key("seconds").value(run.seconds);
-  json.key("iterations").value(run.iterations);
-  json.key("hv").value(run.hv);
-  json.key("reached_target").value(run.reached);
-  json.key("equiv_iterations_per_sec")
-      .value(static_cast<double>(ref.iterations) / run.seconds);
-  json.key("speedup").value(ref.seconds / run.seconds);
-  json.end_object();
-}
-
 void write_end_to_end_record(JsonWriter& json) {
   json.key("end_to_end").begin_object();
   json.key("unit").value(
       "equivalent-progress iterations/sec: reference iterations divided by "
       "the time each config needs to reach the reference config's final "
-      "anytime hypervolume (reference = uniform sampling, single-move "
-      "pricing, fixed iteration budget)");
+      "anytime hypervolume (reference = uniform sampling, fixed iteration "
+      "budget)");
   json.key("neighborhood_size").value(kEndToEndNeighborhood);
   json.key("candidate_k").value(kEndToEndCandidateK);
   json.key("reference_iterations").value(kEndToEndBudget);
@@ -414,44 +398,41 @@ void write_end_to_end_record(JsonWriter& json) {
       const Instance inst = generate_named(cls + suffix);
       const auto cands = make_candidate_list(inst, kEndToEndCandidateK);
       const E2eRun ref =
-          run_end_to_end(inst, 0, false, nullptr, kEndToEndBudget, -1.0);
-      const std::int64_t cap = 4 * kEndToEndBudget;
-      const E2eRun uniform_batch =
-          run_end_to_end(inst, 0, true, nullptr, cap, ref.hv);
-      const E2eRun pruned_single = run_end_to_end(
-          inst, kEndToEndCandidateK, false, cands, cap, ref.hv);
-      const E2eRun pruned_batch =
-          run_end_to_end(inst, kEndToEndCandidateK, true, cands, cap, ref.hv);
-      const double speedup = ref.seconds / pruned_batch.seconds;
+          run_end_to_end(inst, 0, nullptr, kEndToEndBudget, -1.0);
+      const E2eRun pruned = run_end_to_end(inst, kEndToEndCandidateK, cands,
+                                           4 * kEndToEndBudget, ref.hv);
+      const double speedup = ref.seconds / pruned.seconds;
       speedup_by_customers[inst.num_customers()].push_back(speedup);
       json.begin_object();
       json.key("instance").value(inst.name());
       json.key("customers").value(inst.num_customers());
       json.key("target_hv").value(ref.hv);
-      json.key("uniform_single").begin_object();
+      json.key("uniform").begin_object();
       json.key("seconds").value(ref.seconds);
       json.key("iterations").value(ref.iterations);
       json.key("hv").value(ref.hv);
       json.key("iterations_per_sec")
           .value(static_cast<double>(ref.iterations) / ref.seconds);
       json.end_object();
-      write_e2e_config(json, "uniform_batch", uniform_batch, ref);
-      write_e2e_config(json, "pruned_single", pruned_single, ref);
-      write_e2e_config(json, "pruned_batch", pruned_batch, ref);
-      json.key("speedup_pruned_batch").value(speedup);
+      json.key("pruned").begin_object();
+      json.key("seconds").value(pruned.seconds);
+      json.key("iterations").value(pruned.iterations);
+      json.key("hv").value(pruned.hv);
+      json.key("reached_target").value(pruned.reached);
+      json.key("equiv_iterations_per_sec")
+          .value(static_cast<double>(ref.iterations) / pruned.seconds);
+      json.key("speedup").value(speedup);
       json.end_object();
-      std::cout << "e2e " << inst.name() << ": uniform+single "
-                << ref.seconds << "s to hv " << ref.hv << " ("
-                << ref.iterations << " it), pruned+batch "
-                << pruned_batch.seconds << "s / " << pruned_batch.iterations
-                << " it (x" << speedup
-                << (pruned_batch.reached ? "" : ", target NOT reached")
-                << ")\n";
+      json.end_object();
+      std::cout << "e2e " << inst.name() << ": uniform " << ref.seconds
+                << "s to hv " << ref.hv << " (" << ref.iterations
+                << " it), pruned " << pruned.seconds << "s / "
+                << pruned.iterations << " it (x" << speedup
+                << (pruned.reached ? "" : ", target NOT reached") << ")\n";
     }
   }
   json.end_array();
-  // Geomean of pruned+batch vs uniform+single across both horizon
-  // classes, per size.
+  // Geomean of pruned vs uniform across both horizon classes, per size.
   json.key("speedup_by_customers").begin_object();
   for (const auto& [customers, speedups] : speedup_by_customers) {
     double logsum = 0.0;

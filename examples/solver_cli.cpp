@@ -274,9 +274,6 @@ int main(int argc, char** argv) {
   cli.add_flag("simulate", "run on the virtual clock (deterministic)");
   cli.add_flag("polish",
                "post-run VND local search on every archive solution");
-  cli.add_flag("no-batch-pricing",
-               "price candidate moves one-by-one instead of per batch "
-               "(results are bitwise-identical either way)");
   cli.add_flag("no-tsdb",
                "disable the time-series history plane (/api/timeseries, "
                "/dashboard) that --serve and --serve-jobs enable");
@@ -384,7 +381,6 @@ int main(int argc, char** argv) {
     params.neighborhood_size = static_cast<int>(cli.get_int("neighborhood"));
     params.tabu_tenure = static_cast<int>(cli.get_int("tenure"));
     params.candidate_k = static_cast<int>(cli.get_int("candidate-k"));
-    params.batch_pricing = !cli.flag("no-batch-pricing");
     params.archive_capacity = static_cast<int>(cli.get_int("archive"));
     params.restart_after = static_cast<int>(cli.get_int("restart-after"));
     params.seed = static_cast<std::uint64_t>(cli.get_int("seed"));

@@ -16,9 +16,9 @@ int perturb_int(int value, Rng& rng) {
 
 }  // namespace
 
-// candidate_k and batch_pricing are deliberately NOT perturbed: perturbing
-// them would add RNG draws (breaking every golden-seed fingerprint) and
-// candidate_k must agree across all searchers sharing one candidate list.
+// candidate_k is deliberately NOT perturbed: perturbing it would add RNG
+// draws (breaking every golden-seed fingerprint) and it must agree across
+// all searchers sharing one candidate list.
 TsmoParams TsmoParams::perturbed(Rng& rng) const {
   TsmoParams p = *this;
   p.neighborhood_size = perturb_int(neighborhood_size, rng);

@@ -48,11 +48,6 @@ struct TsmoParams {
   /// legacy mode.  Never perturbed: every searcher of a run must share one
   /// list, and the knob changes the RNG consumption pattern.
   int candidate_k = 0;
-  /// Prices each generated neighborhood in one MoveEngine::evaluate_batch
-  /// pass instead of per-move evaluate() calls.  Bitwise-identical results
-  /// and RNG stream either way (pricing consumes no randomness), so this
-  /// is a pure performance toggle; default on.  Never perturbed.
-  bool batch_pricing = true;
   /// Records a RunTrace fingerprint of every search decision (see
   /// util/trace.hpp and DESIGN.md §7).  Runtime toggle; when off the
   /// recording hooks reduce to one branch per step.  Never perturbed.

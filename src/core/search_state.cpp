@@ -17,8 +17,7 @@ SearchState::SearchState(const Instance& inst, const TsmoParams& params,
       cands_(cands ? std::move(cands)
                    : make_candidate_list(inst, params.candidate_k)),
       engine_(inst),
-      generator_(engine_, params.operator_weights,
-                 params.feasibility_screen, params.batch_pricing),
+      generator_(engine_, params.operator_weights, params.feasibility_screen),
       tabu_(static_cast<std::size_t>(std::max(params.tabu_tenure, 0))),
       nondom_(static_cast<std::size_t>(std::max(params.nondom_capacity, 1))),
       archive_(static_cast<std::size_t>(std::max(params.archive_capacity, 2))),
@@ -300,8 +299,7 @@ void SearchState::maybe_adapt_weights() {
     offered_[i] /= 2;
   }
   generator_ = NeighborhoodGenerator(engine_, weights,
-                                     params_.feasibility_screen,
-                                     params_.batch_pricing);
+                                     params_.feasibility_screen);
 }
 
 bool SearchState::receive(std::shared_ptr<const Solution> s) {

@@ -113,34 +113,62 @@ JobParams parse_params(const JsonValue* node) {
   return jp;
 }
 
-RunResult run_engine(const std::string& algorithm, const Instance& inst,
-                     const TsmoParams& params, int processors,
-                     const RunContext& ctx) {
-  if (algorithm == "seq") return SequentialTsmo(inst, params, ctx).run();
-  if (algorithm == "sync") {
-    SyncOptions so;
-    so.deterministic = true;
-    return SyncTsmo(inst, params, processors, so, ctx).run();
+using EngineRun = RunResult (*)(const Instance&, const TsmoParams&,
+                                int processors, const RunContext&);
+
+/// The engines the job plane runs, each in its deterministic mode.
+struct JobEngine {
+  const char* name;
+  EngineRun run;
+};
+constexpr JobEngine kJobEngines[] = {
+    {"seq",
+     [](const Instance& inst, const TsmoParams& params, int,
+        const RunContext& ctx) {
+       return SequentialTsmo(inst, params, ctx).run();
+     }},
+    {"sync",
+     [](const Instance& inst, const TsmoParams& params, int processors,
+        const RunContext& ctx) {
+       SyncOptions so;
+       so.deterministic = true;
+       return SyncTsmo(inst, params, processors, so, ctx).run();
+     }},
+    {"async",
+     [](const Instance& inst, const TsmoParams& params, int processors,
+        const RunContext& ctx) {
+       AsyncOptions ao;
+       ao.deterministic = true;
+       return AsyncTsmo(inst, params, processors, ao, ctx).run();
+     }},
+    {"coll",
+     [](const Instance& inst, const TsmoParams& params, int processors,
+        const RunContext& ctx) {
+       MultisearchOptions mo;
+       mo.deterministic = true;
+       return MultisearchTsmo(inst, params, processors, mo, ctx)
+           .run()
+           .merged;
+     }},
+    {"hybrid",
+     [](const Instance& inst, const TsmoParams& params, int processors,
+        const RunContext& ctx) {
+       HybridOptions ho;
+       ho.deterministic = true;
+       const int per_island = std::max(2, processors / 2);
+       return HybridTsmo(inst, params, 2, per_island, ho, ctx).run().merged;
+     }},
+};
+
+/// The engine named `algorithm`; throws naming it when there is none.
+EngineRun find_engine(const std::string& algorithm) {
+  std::string names;
+  for (const JobEngine& e : kJobEngines) {
+    if (algorithm == e.name) return e.run;
+    names += names.empty() ? e.name : std::string(" | ") + e.name;
   }
-  if (algorithm == "async") {
-    AsyncOptions ao;
-    ao.deterministic = true;
-    return AsyncTsmo(inst, params, processors, ao, ctx).run();
-  }
-  if (algorithm == "coll") {
-    MultisearchOptions mo;
-    mo.deterministic = true;
-    return MultisearchTsmo(inst, params, processors, mo, ctx).run().merged;
-  }
-  if (algorithm == "hybrid") {
-    HybridOptions ho;
-    ho.deterministic = true;
-    const int per_island = std::max(2, processors / 2);
-    return HybridTsmo(inst, params, 2, per_island, ho, ctx).run().merged;
-  }
-  throw std::invalid_argument(
-      "unknown algorithm: " + algorithm +
-      " (job plane runs: seq | sync | async | coll | hybrid)");
+  throw std::invalid_argument("unknown algorithm: " + algorithm +
+                              " (job plane runs: " + names + ")");
 }
 
 }  // namespace
@@ -165,6 +193,7 @@ obs::JobOutcome run_job_body(const std::string& body,
         a != nullptr && a->is_string()) {
       algorithm = a->as_string();
     }
+    const EngineRun run_engine = find_engine(algorithm);
     int processors = 3;
     if (const JsonValue* p = doc->find("processors")) {
       processors = std::max(
@@ -239,7 +268,7 @@ obs::JobOutcome run_job_body(const std::string& body,
     run.profile_hz = job.profile_hz;
     run.recorder = &recorder;
     run.introspect = introspect.get();
-    RunResult result = run_engine(algorithm, inst, params, processors, run);
+    RunResult result = run_engine(inst, params, processors, run);
 
     recorder.finalize(result.front);
     if (introspect != nullptr) {

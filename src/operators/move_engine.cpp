@@ -349,7 +349,6 @@ void MoveEngine::evaluate_batch(const Solution& base,
                                 std::vector<Objectives>& out) const {
   out.resize(moves.size());
   TSMO_COUNT_N("move.priced", moves.size());
-  TSMO_COUNT("move.batches");
   TSMO_PROFILE_FRAME("move.evaluate_batch");
   // One accumulator for the whole batch: the SoA field pointers are
   // resolved once, and consecutive moves revisit the same handful of

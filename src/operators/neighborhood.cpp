@@ -9,11 +9,8 @@ namespace tsmo {
 NeighborhoodGenerator::NeighborhoodGenerator(
     const MoveEngine& engine,
     const std::array<double, kNumMoveTypes>& weights,
-    FeasibilityScreen screen, bool batch_pricing)
-    : engine_(&engine),
-      weights_(weights),
-      screen_(screen),
-      batch_(batch_pricing) {
+    FeasibilityScreen screen)
+    : engine_(&engine), weights_(weights), screen_(screen) {
   for (double w : weights_) {
     if (w < 0.0) {
       throw std::invalid_argument(
@@ -39,53 +36,32 @@ MoveType NeighborhoodGenerator::sample_type(Rng& rng) const {
 std::vector<Neighbor> NeighborhoodGenerator::generate(const Solution& base,
                                                       int count,
                                                       Rng& rng) const {
-  std::vector<Neighbor> out;
-  out.reserve(static_cast<std::size_t>(count));
-  // Each propose() internally retries a few position draws; this outer
-  // budget additionally re-draws the operator type, matching the paper.
+  // Draw the whole neighborhood first.  Each propose() internally retries
+  // a few position draws; this outer budget additionally re-draws the
+  // operator type, matching the paper.
+  moves_.clear();
   int draws_left = count * 25;
-  while (static_cast<int>(out.size()) < count && draws_left-- > 0) {
+  while (static_cast<int>(moves_.size()) < count && draws_left-- > 0) {
     const MoveType type = sample_type(rng);
-    const auto move = engine_->propose(type, base, rng, 12, screen_);
-    if (!move) continue;
-    Neighbor n;
-    n.move = *move;
-    if (!batch_) {
-      // "Move pricing": delta evaluation plus tabu-attribute extraction —
-      // the per-neighbor cost the paper's neighborhood size multiplies.
-      TSMO_TIME_SCOPE("move.price_ns");
-      n.obj = engine_->evaluate(base, *move);
-      n.creates = engine_->created_attrs(base, *move);
-      n.destroys = engine_->destroyed_attrs(base, *move);
-    }
-    out.push_back(n);
-  }
-  if (batch_ && !out.empty()) {
-    // Batched pricing: all proposals are already drawn (pricing consumes
-    // no RNG, so the move sequence matches the single-pricing mode
-    // exactly); one flat evaluate_batch pass prices them back to back.
-    batch_moves_.clear();
-    batch_moves_.reserve(out.size());
-    for (const Neighbor& n : out) batch_moves_.push_back(n.move);
-    {
-      // One span per batch: count = batches, value = whole-batch pricing
-      // latency (the single mode records per move instead).
-      TSMO_TIME_SCOPE("move.price_ns");
-      engine_->evaluate_batch(base, batch_moves_, batch_obj_);
-    }
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      out[i].obj = batch_obj_[i];
-      out[i].creates = engine_->created_attrs(base, out[i].move);
-      out[i].destroys = engine_->destroyed_attrs(base, out[i].move);
+    if (const auto move = engine_->propose(type, base, rng, 12, screen_)) {
+      moves_.push_back(*move);
     }
   }
-  if (batch_) {
-    // Fill ratio of the batch in percent: 100 unless the give-up
-    // threshold cut generation short.
-    TSMO_RECORD_NS("neighborhood.batch_fill_pct",
-                   count > 0 ? out.size() * 100 / static_cast<std::size_t>(
-                                                     count)
-                             : 0);
+  std::vector<Neighbor> out;
+  if (moves_.empty()) return out;
+  // "Move pricing": delta evaluation plus tabu-attribute extraction — the
+  // per-neighbor cost the paper's neighborhood size multiplies.  Pricing
+  // draws no random numbers, so one evaluate_batch pass prices the drawn
+  // moves back to back.
+  {
+    TSMO_TIME_SCOPE("move.price_ns");
+    engine_->evaluate_batch(base, moves_, objs_);
+  }
+  out.reserve(moves_.size());
+  for (std::size_t i = 0; i < moves_.size(); ++i) {
+    const Move& m = moves_[i];
+    out.push_back({m, objs_[i], engine_->created_attrs(base, m),
+                   engine_->destroyed_attrs(base, m)});
   }
   return out;
 }

@@ -33,29 +33,21 @@ class NeighborhoodGenerator {
   /// Weighted operator selection (weights need not be normalized; a zero
   /// weight disables the operator — used by the operator ablation bench).
   /// All-zero weights are rejected.  `screen` selects the feasibility
-  /// screening mode applied to proposals.  `batch_pricing` selects whether
-  /// generate() prices neighbors one by one as they are drawn (false, the
-  /// pre-batching behavior) or proposes the whole set first and prices it
-  /// in one MoveEngine::evaluate_batch pass (true, the default).  The two
-  /// modes return bitwise-identical neighbor sequences: proposing consumes
-  /// RNG draws, pricing never does, so reordering pricing after the draws
-  /// leaves the RNG stream — and with it every proposed move — unchanged.
+  /// screening mode applied to proposals.
   NeighborhoodGenerator(
       const MoveEngine& engine,
       const std::array<double, kNumMoveTypes>& weights,
-      FeasibilityScreen screen = FeasibilityScreen::Local,
-      bool batch_pricing = true);
+      FeasibilityScreen screen = FeasibilityScreen::Local);
 
-  /// Draws and evaluates up to `count` neighbors of `base`.  May return
-  /// fewer when the solution admits too few locally feasible moves (the
-  /// give-up threshold is `count * 25` failed operator draws).  Every
-  /// returned neighbor costs exactly one evaluation — delta evaluation
-  /// against `base`'s route caches, so `base` must be evaluated (as any
-  /// constructed or applied solution is).
+  /// Draws up to `count` neighbors of `base`, then prices them all in one
+  /// MoveEngine::evaluate_batch pass.  May return fewer when the solution
+  /// admits too few locally feasible moves (the give-up threshold is
+  /// `count * 25` failed operator draws).  Every returned neighbor costs
+  /// exactly one evaluation — delta evaluation against `base`'s route
+  /// caches, so `base` must be evaluated (as any constructed or applied
+  /// solution is).
   std::vector<Neighbor> generate(const Solution& base, int count,
                                  Rng& rng) const;
-
-  bool batch_pricing() const noexcept { return batch_; }
 
   /// Applies a neighbor's move to a copy of `base`.
   Solution materialize(const Solution& base, const Neighbor& n) const;
@@ -75,10 +67,9 @@ class NeighborhoodGenerator {
   std::array<double, kNumMoveTypes> weights_;
   double total_weight_ = 0.0;
   FeasibilityScreen screen_ = FeasibilityScreen::Local;
-  bool batch_ = true;
-  /// Batch-pricing scratch, reused across generate() calls.
-  mutable std::vector<Move> batch_moves_;
-  mutable std::vector<Objectives> batch_obj_;
+  /// Drawn moves and their prices, reused across generate() calls.
+  mutable std::vector<Move> moves_;
+  mutable std::vector<Objectives> objs_;
 };
 
 }  // namespace tsmo

@@ -58,8 +58,7 @@ MultisearchResult HybridTsmo::run() const {
 
     SearchState state(*inst_, p, Rng(p.seed), shared_cands);
     state.set_trace_id(id);
-    WorkerTeam team(*inst_, procs - 1, p.seed, shared_cands,
-                    p.batch_pricing);
+    WorkerTeam team(*inst_, procs - 1, p.seed, shared_cands);
     if (ctx_.recorder) {
       team.enable_heartbeats(*ctx_.recorder,
                              "island " + std::to_string(id) + " worker");
@@ -237,9 +236,7 @@ MultisearchResult HybridTsmo::run_deterministic() const {
     scope.attach(*is.state, id);
     is.engine = std::make_unique<MoveEngine>(*inst_);
     if (shared_cands) is.engine->set_candidate_list(shared_cands.get());
-    is.generator = std::make_unique<NeighborhoodGenerator>(
-        *is.engine, std::array<double, kNumMoveTypes>{1, 1, 1, 1, 1},
-        FeasibilityScreen::Local, is.p.batch_pricing);
+    is.generator = std::make_unique<NeighborhoodGenerator>(*is.engine);
     is.schedule = Rng(is.p.seed ^ 0xa57c5eedULL);
     for (int j = 0; j < k; ++j) {
       if (j != id) is.comm.push_back(j);

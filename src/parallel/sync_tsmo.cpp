@@ -21,8 +21,7 @@ RunResult SyncTsmo::run() const {
   Timer timer;
   const auto cands = make_candidate_list(*inst_, params_.candidate_k);
   SearchState state(*inst_, params_, Rng(params_.seed), cands);
-  WorkerTeam team(*inst_, procs - 1, params_.seed, cands,
-                  params_.batch_pricing);
+  WorkerTeam team(*inst_, procs - 1, params_.seed, cands);
   if (ctx_.recorder) team.enable_heartbeats(*ctx_.recorder, "sync worker");
   scope.attach(state);
   state.initialize();
@@ -83,7 +82,7 @@ RunResult SyncTsmo::run_deterministic() const {
   Timer timer;
   const auto cands = make_candidate_list(*inst_, params_.candidate_k);
   SearchState state(*inst_, params_, Rng(params_.seed), cands);
-  WorkerTeam team(*inst_, exec, params_.seed, cands, params_.batch_pricing);
+  WorkerTeam team(*inst_, exec, params_.seed, cands);
   if (ctx_.recorder) team.enable_heartbeats(*ctx_.recorder, "sync worker");
   scope.attach(state);
   state.initialize();

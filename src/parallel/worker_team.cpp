@@ -13,11 +13,9 @@ namespace tsmo {
 
 WorkerTeam::WorkerTeam(const Instance& inst, int num_workers,
                        std::uint64_t seed,
-                       std::shared_ptr<const CandidateList> cands,
-                       bool batch_pricing)
+                       std::shared_ptr<const CandidateList> cands)
     : inst_(&inst),
       cands_(std::move(cands)),
-      batch_pricing_(batch_pricing),
       trace_ctx_(telemetry::current_trace()) {
   requests_.enable_telemetry("gen_requests");
   results_.enable_telemetry("gen_results");
@@ -56,9 +54,8 @@ void WorkerTeam::worker_loop(int id, Rng rng) {
   MoveEngine engine(*inst_);
   if (cands_) engine.set_candidate_list(cands_.get());
   // Workers keep the default equal operator weights and local screen (as
-  // before); only the sampling mode and pricing mode are configurable.
-  NeighborhoodGenerator generator(engine, {1, 1, 1, 1, 1},
-                                  FeasibilityScreen::Local, batch_pricing_);
+  // before); only the sampling mode is configurable.
+  NeighborhoodGenerator generator(engine);
   std::int64_t chunks_done = 0;
 #if TSMO_TELEMETRY_ENABLED
   // Per-worker utilization gauges use dynamic names ("worker.3.busy_ns"),

@@ -49,11 +49,8 @@ class WorkerTeam {
   /// up to arrival order.  `cands` (optional) switches every worker's
   /// engine to candidate-list pruned sampling; the immutable list is
   /// shared read-only across the team and with the master's SearchState.
-  /// `batch_pricing` selects the workers' pricing mode (bitwise-identical
-  /// results either way).
   WorkerTeam(const Instance& inst, int num_workers, std::uint64_t seed,
-             std::shared_ptr<const CandidateList> cands = nullptr,
-             bool batch_pricing = true);
+             std::shared_ptr<const CandidateList> cands = nullptr);
 
   /// Closes the request channel and joins the workers.
   ~WorkerTeam();
@@ -95,7 +92,6 @@ class WorkerTeam {
 
   const Instance* inst_;
   std::shared_ptr<const CandidateList> cands_;  ///< outlives the workers
-  bool batch_pricing_ = true;
   /// The spawning thread's ambient trace context, captured before the
   /// worker threads start so each worker_loop can re-establish it — worker
   /// spans then parent under the engine's run span (DESIGN.md §13).

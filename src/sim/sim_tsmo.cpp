@@ -22,11 +22,9 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 class SimWorker {
  public:
   SimWorker(const Instance& inst, int id, Rng rng,
-            std::shared_ptr<const CandidateList> cands = nullptr,
-            bool batch_pricing = true)
+            std::shared_ptr<const CandidateList> cands = nullptr)
       : engine_(std::make_unique<MoveEngine>(inst)),
         cands_(std::move(cands)),
-        batch_pricing_(batch_pricing),
         rng_(rng),
         id_(id) {
     if (cands_) engine_->set_candidate_list(cands_.get());
@@ -40,9 +38,7 @@ class SimWorker {
   /// done_time().
   void dispatch(std::shared_ptr<const Solution> base, int count,
                 double start, const CostModel& cost, Rng& noise_rng) {
-    NeighborhoodGenerator generator(*engine_, {1, 1, 1, 1, 1},
-                                    FeasibilityScreen::Local,
-                                    batch_pricing_);
+    NeighborhoodGenerator generator(*engine_);
     result_ = make_candidates(generator, std::move(base), count, rng_);
     for (Candidate& c : result_) c.origin = static_cast<std::int16_t>(id_);
     const double work = static_cast<double>(result_.size()) * cost.eval_us *
@@ -64,7 +60,6 @@ class SimWorker {
  private:
   std::unique_ptr<MoveEngine> engine_;
   std::shared_ptr<const CandidateList> cands_;
-  bool batch_pricing_ = true;
   Rng rng_;
   std::vector<Candidate> result_;
   double done_time_ = kInf;
@@ -152,8 +147,7 @@ RunResult run_sim_sync(const Instance& inst, const TsmoParams& params,
   std::vector<SimWorker> workers;
   workers.reserve(static_cast<std::size_t>(procs - 1));
   for (int w = 0; w < procs - 1; ++w) {
-    workers.emplace_back(inst, w, stream_seed.split(), cands,
-                         params.batch_pricing);
+    workers.emplace_back(inst, w, stream_seed.split(), cands);
   }
 
   double t = cost.eval_us;  // initial construction
@@ -238,8 +232,7 @@ class AsyncSimCore {
     Rng stream_seed(params.seed ^ 0x5eedF00dULL);
     workers_.reserve(static_cast<std::size_t>(procs - 1));
     for (int w = 0; w < procs - 1; ++w) {
-      workers_.emplace_back(inst, w, stream_seed.split(), cands_,
-                            params.batch_pricing);
+      workers_.emplace_back(inst, w, stream_seed.split(), cands_);
     }
     scope.attach(state_, searcher);
     state_.initialize();

@@ -44,10 +44,10 @@ struct RouteStats {
 /// one extra allocation per route.
 class RouteCache {
  public:
-  /// Borrowed raw pointers into the cache's flat storage, resolved once so
-  /// batch pricing loops read prefix data without per-access index
-  /// arithmetic (DESIGN.md §11).  Valid until the cache is rebuilt; all
-  /// pointers are null for an empty route (n == 0).
+  /// Borrowed raw pointers into the cache's flat storage, resolved once per
+  /// priced move so delta pricing reads prefix data without per-access
+  /// index arithmetic (DESIGN.md §11).  Valid until the cache is rebuilt;
+  /// all pointers are null for an empty route (n == 0).
   struct View {
     const double* arc = nullptr;       ///< n+1 entries (incl. return arc)
     const double* cum_dist = nullptr;  ///< n entries
@@ -159,13 +159,6 @@ class IncrementalRouteEval {
   }
 
   /// Adopts the cached state after the first `len` visits of `route`.
-  void seed_prefix(std::span<const int> route, const RouteCache& cache,
-                   int len) noexcept {
-    seed_prefix(route, cache.view(), len);
-  }
-
-  /// View-based variant: batch pricing resolves each cache's view once and
-  /// reuses it across the moves touching that route.
   void seed_prefix(std::span<const int> route, const RouteCache::View& v,
                    int len) noexcept {
     if (len <= 0) {
@@ -217,12 +210,6 @@ class IncrementalRouteEval {
 
   /// Closes the tour with the tail route[from..] of a cached route,
   /// early-terminating once the departure time rejoins the cached schedule.
-  void finish_with_tail(std::span<const int> route, const RouteCache& cache,
-                        int from) noexcept {
-    finish_with_tail(route, cache.view(), from);
-  }
-
-  /// View-based variant (same arithmetic; see seed_prefix above).
   void finish_with_tail(std::span<const int> route,
                         const RouteCache::View& v, int from) noexcept;
 

@@ -416,31 +416,6 @@ TEST_F(GoldenSeedTest, TsdbAndSloOnOffFingerprintsIdentical) {
   expect_identical(runs, "async-det.tsdb.seed" + std::to_string(seed));
 }
 
-/// Batch pricing is a pure restructuring of the pricing arithmetic and
-/// consumes no RNG, so toggling it must leave every fingerprint bitwise
-/// identical — in legacy sampling mode and in pruned mode alike.
-TEST_F(GoldenSeedTest, BatchPricingOnOffFingerprintsIdentical) {
-  for (std::uint64_t seed : kSeeds) {
-    for (int k : {0, 16}) {
-      TsmoParams on = golden_params(seed);
-      on.candidate_k = k;
-      on.batch_pricing = true;
-      TsmoParams off = on;
-      off.batch_pricing = false;
-      expect_identical({SequentialTsmo(inst_, on).run(),
-                        SequentialTsmo(inst_, off).run()},
-                       "sequential.batch.k" + std::to_string(k) + ".seed" +
-                           std::to_string(seed));
-      SyncOptions so;
-      so.deterministic = true;
-      expect_identical({SyncTsmo(inst_, on, 4, so).run(),
-                        SyncTsmo(inst_, off, 4, so).run()},
-                       "sync-det.batch.k" + std::to_string(k) + ".seed" +
-                           std::to_string(seed));
-    }
-  }
-}
-
 /// Pruned sampling (candidate_k > 0) draws from a different move stream
 /// than legacy uniform sampling, but it must still be a pure function of
 /// (params, logical processors): identical across 1/2/4 execution threads

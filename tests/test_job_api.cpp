@@ -196,11 +196,21 @@ TEST(JobApi, BadJobParametersFailTheJobNotTheServer) {
                         body),
             202);
   const std::string bad_algorithm = id_of(body);
+  // Both bad: the algorithm is checked before the instance is built.
+  ASSERT_EQ(svc.request("POST", "/jobs",
+                        "{\"instance\": \"NOPE_9_9\", \"algorithm\": "
+                        "\"warp\"}",
+                        body),
+            202);
+  const std::string bad_both = id_of(body);
 
   ASSERT_TRUE(wait_for_state(svc, bad_instance, "failed"));
   ASSERT_TRUE(wait_for_state(svc, bad_algorithm, "failed"));
+  ASSERT_TRUE(wait_for_state(svc, bad_both, "failed"));
   ASSERT_EQ(svc.request("GET", "/jobs/" + bad_algorithm, "", body), 200);
   EXPECT_NE(body.find("unknown algorithm"), std::string::npos) << body;
+  ASSERT_EQ(svc.request("GET", "/jobs/" + bad_both, "", body), 200);
+  EXPECT_NE(body.find("unknown algorithm: warp"), std::string::npos) << body;
   // A failed job has no result document.
   EXPECT_EQ(svc.request("GET", "/jobs/" + bad_instance + "/result", "",
                         body),

@@ -120,40 +120,6 @@ TEST_F(NeighborhoodTest, PrunedSamplingIsDeterministic) {
   engine_.set_candidate_list(nullptr);
 }
 
-// Batch and single-move pricing must produce the exact same neighbor
-// sequence (moves, objectives, attrs) from the same RNG state — batch mode
-// only reorders WHEN moves are priced, never what is sampled or computed.
-TEST_F(NeighborhoodTest, BatchAndSinglePricingIdenticalNeighborhoods) {
-  const Solution base = seed();
-  NeighborhoodGenerator single(engine_, {1, 1, 1, 1, 1},
-                               FeasibilityScreen::Local, false);
-  NeighborhoodGenerator batch(engine_, {1, 1, 1, 1, 1},
-                              FeasibilityScreen::Local, true);
-  EXPECT_FALSE(single.batch_pricing());
-  EXPECT_TRUE(batch.batch_pricing());
-  for (const int k : {0, 12}) {
-    const auto cands = make_candidate_list(inst_, k);
-    engine_.set_candidate_list(cands.get());
-    Rng r1(33), r2(33);
-    const auto a = single.generate(base, 120, r1);
-    const auto b = batch.generate(base, 120, r2);
-    ASSERT_EQ(a.size(), b.size()) << "k=" << k;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      ASSERT_EQ(a[i].move, b[i].move) << "k=" << k;
-      ASSERT_EQ(a[i].obj, b[i].obj) << "k=" << k;
-      ASSERT_TRUE(std::equal(a[i].creates.begin(), a[i].creates.end(),
-                             b[i].creates.begin(), b[i].creates.end()))
-          << "k=" << k;
-      ASSERT_TRUE(std::equal(a[i].destroys.begin(), a[i].destroys.end(),
-                             b[i].destroys.begin(), b[i].destroys.end()))
-          << "k=" << k;
-    }
-    // And the two generators left the RNG streams in the same state.
-    EXPECT_EQ(r1.next(), r2.next()) << "k=" << k;
-  }
-  engine_.set_candidate_list(nullptr);
-}
-
 TEST(NeighborhoodDegenerate, TinyInstanceMayYieldFewer) {
   // 2 customers in 2 routes: no or-opt possible, limited moves; generation
   // must terminate and return only valid moves.

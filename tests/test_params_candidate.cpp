@@ -58,21 +58,19 @@ TEST(TsmoParams, PerturbedStaysPositive) {
   }
 }
 
-// candidate_k / batch_pricing must never be perturbed: multisearch and
-// hybrid share ONE candidate list across searchers (valid only because k
-// agrees), and any extra rng.normal draw would shift the whole perturbation
-// stream and break every golden-seed fingerprint.
-TEST(TsmoParams, PerturbedNeverTouchesCandidateKOrBatchPricing) {
+// candidate_k must never be perturbed: multisearch and hybrid share ONE
+// candidate list across searchers (valid only because k agrees), and any
+// extra rng.normal draw would shift the whole perturbation stream and break
+// every golden-seed fingerprint.
+TEST(TsmoParams, PerturbedNeverTouchesCandidateK) {
   TsmoParams base;
   base.candidate_k = 16;
-  base.batch_pricing = false;
   Rng rng(4);
   for (int i = 0; i < 200; ++i) {
     const TsmoParams p = base.perturbed(rng);
     ASSERT_EQ(p.candidate_k, 16);
-    ASSERT_FALSE(p.batch_pricing);
   }
-  // And adding the knobs consumed no extra RNG: the draw count per call is
+  // And adding the knob consumed no extra RNG: the draw count per call is
   // unchanged, so the same seed still yields the same perturbed values.
   Rng a(99), b(99);
   TsmoParams plain;
