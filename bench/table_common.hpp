@@ -61,7 +61,7 @@ inline int run_paper_table(const std::string& table_id,
       return 1;
     }
     std::cout << "observability server on http://127.0.0.1:"
-              << server->port() << "\n";
+              << server->port() << std::endl;
   }
 
   std::cout << title << "\n"

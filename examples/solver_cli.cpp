@@ -471,7 +471,7 @@ int main(int argc, char** argv) {
       server->set_recorder(recorder.get());
       std::cout << "observability server on http://127.0.0.1:"
                 << server->port()
-                << " (/metrics /healthz /status /buildinfo)\n";
+                << " (/metrics /healthz /status /buildinfo)" << std::endl;
     }
 
     std::unique_ptr<ProgressPrinter> progress;

@@ -7,6 +7,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -1151,40 +1152,100 @@ bool wait_with_timeout(pid_t pid, int* status, int timeout_s) {
   return false;
 }
 
-TEST(GracefulStop, SigintFlushesPartialRunResult) {
-  const std::string json_path = ::testing::TempDir() + "tsmo_stop_result.json";
-  std::remove(json_path.c_str());
+/// Reads `fd` until a whole line starting with `prefix` arrives; returns the
+/// rest of that line, or "" on EOF or after `timeout_s`.
+std::string await_line(int fd, const std::string& prefix, int timeout_s) {
+  std::string seen;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(timeout_s);
+  while (std::chrono::steady_clock::now() < deadline) {
+    pollfd pfd{fd, POLLIN, 0};
+    if (::poll(&pfd, 1, 50) <= 0) continue;
+    char chunk[512];
+    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+    if (n <= 0) return "";
+    seen.append(chunk, static_cast<std::size_t>(n));
+    const std::size_t at = seen.find(prefix);
+    const std::size_t eol =
+        at == std::string::npos ? at : seen.find('\n', at);
+    if (eol != std::string::npos) {
+      return seen.substr(at + prefix.size(), eol - at - prefix.size());
+    }
+  }
+  return "";
+}
 
-  const pid_t pid = fork();
-  ASSERT_NE(pid, -1) << std::strerror(errno);
-  if (pid == 0) {
+TEST(GracefulStop, SigintFlushesPartialRunResult) {
+  // Two inputs: a plain run, and a one-shot `--serve -1` run whose stdout is
+  // a pipe.  The second must announce its ephemeral port while it runs, not
+  // leave the line buffered until exit, or no client can find the server.
+  for (const bool serve : {false, true}) {
+    SCOPED_TRACE(serve ? "--serve -1, stdout on a pipe" : "plain run");
+    const std::string json_path =
+        ::testing::TempDir() + "tsmo_stop_result.json";
+    std::remove(json_path.c_str());
+    int out[2] = {-1, -1};
+    if (serve) ASSERT_EQ(::pipe(out), 0) << std::strerror(errno);
+
     // A budget far past what the wait below allows to complete, so the exit
     // can only come from the cooperative stop path.
-    ::execl(TSMO_SOLVER_CLI, TSMO_SOLVER_CLI, "--instance", "R1_1_1",
-            "--algorithm", "async", "--processors", "3", "--evaluations",
-            "200000000", "--neighborhood", "60", "--json", json_path.c_str(),
-            "--quiet", static_cast<char*>(nullptr));
-    _exit(127);
+    std::vector<const char*> args = {
+        TSMO_SOLVER_CLI, "--instance",     "R1_1_1",  "--algorithm",
+        "async",         "--processors",   "3",       "--evaluations",
+        "200000000",     "--neighborhood", "60",      "--json",
+        json_path.c_str(), "--quiet"};
+    if (serve) args.insert(args.end(), {"--serve", "-1"});
+    args.push_back(nullptr);
+
+    const pid_t pid = fork();
+    ASSERT_NE(pid, -1) << std::strerror(errno);
+    if (pid == 0) {
+      if (serve) {
+        ::dup2(out[1], STDOUT_FILENO);
+        ::close(out[0]);
+        ::close(out[1]);
+      }
+      ::execv(TSMO_SOLVER_CLI, const_cast<char* const*>(args.data()));
+      _exit(127);
+    }
+
+    if (serve) {
+      ::close(out[1]);
+      // The stop handlers are installed before the server starts, so once
+      // the port is announced a SIGINT takes the cooperative path.
+      const std::string rest = await_line(
+          out[0], "observability server on http://127.0.0.1:", 10);
+      const int port = std::atoi(rest.c_str());
+      EXPECT_GT(port, 0) << "port not announced within 10 s of the start";
+      if (port > 0) {
+        std::string body;
+        EXPECT_EQ(
+            obs::http_split_response(obs::http_get(port, "/healthz"), body),
+            200);
+        EXPECT_NE(body.find("\"status\""), std::string::npos) << body;
+      }
+    } else {
+      // Give the CLI time to install its handlers and enter the search loop.
+      ::usleep(800 * 1000);
+    }
+    ASSERT_EQ(::kill(pid, SIGINT), 0) << std::strerror(errno);
+
+    int status = 0;
+    const bool exited = wait_with_timeout(pid, &status, 30);
+    if (serve) ::close(out[0]);
+    ASSERT_TRUE(exited) << "solver_cli did not stop within 30s of SIGINT";
+    ASSERT_TRUE(WIFEXITED(status)) << "status=" << status;
+    EXPECT_EQ(WEXITSTATUS(status), 0) << "first SIGINT must exit cleanly";
+
+    const std::string doc = read_file(json_path);
+    ASSERT_FALSE(doc.empty()) << "partial RunResult JSON was not flushed";
+    EXPECT_TRUE(json_valid(doc)) << doc.substr(0, 400);
+    EXPECT_NE(doc.find("\"stopped_early\": true"), std::string::npos);
+    EXPECT_NE(doc.find("\"build\": "), std::string::npos);
+    EXPECT_NE(doc.find("\"git_sha\": "), std::string::npos);
+    EXPECT_NE(doc.find("\"front\": "), std::string::npos);
+    std::remove(json_path.c_str());
   }
-
-  // Give the CLI time to install its handlers and enter the search loop.
-  ::usleep(800 * 1000);
-  ASSERT_EQ(::kill(pid, SIGINT), 0) << std::strerror(errno);
-
-  int status = 0;
-  ASSERT_TRUE(wait_with_timeout(pid, &status, 30))
-      << "solver_cli did not stop within 30s of SIGINT";
-  ASSERT_TRUE(WIFEXITED(status)) << "status=" << status;
-  EXPECT_EQ(WEXITSTATUS(status), 0) << "first SIGINT must exit cleanly";
-
-  const std::string doc = read_file(json_path);
-  ASSERT_FALSE(doc.empty()) << "partial RunResult JSON was not flushed";
-  EXPECT_TRUE(json_valid(doc)) << doc.substr(0, 400);
-  EXPECT_NE(doc.find("\"stopped_early\": true"), std::string::npos);
-  EXPECT_NE(doc.find("\"build\": "), std::string::npos);
-  EXPECT_NE(doc.find("\"git_sha\": "), std::string::npos);
-  EXPECT_NE(doc.find("\"front\": "), std::string::npos);
-  std::remove(json_path.c_str());
 }
 
 #endif  // TSMO_SOLVER_CLI
