@@ -123,7 +123,7 @@ std::string sanitize_metric_name(std::string_view name) {
   for (char c : name) {
     out.push_back(legal_name_char(c) ? c : '_');
   }
-  if (out.empty()) out = "_";
+  if (out.empty()) out.push_back('_');
   if (std::isdigit(static_cast<unsigned char>(out.front()))) {
     out.insert(out.begin(), '_');
   }

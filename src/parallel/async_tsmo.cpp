@@ -5,12 +5,91 @@
 #include <vector>
 
 #include "core/sequential_tsmo.hpp"
-#include "parallel/worker_team.hpp"
 #include "util/profiler.hpp"
 #include "util/telemetry.hpp"
 #include "util/timer.hpp"
 
 namespace tsmo {
+
+namespace {
+
+/// Decision function c3: how long the master keeps waiting for worker
+/// results before it proceeds with the partial pool.
+constexpr double kWaitTooLongMs = 2.0;
+
+}  // namespace
+
+AsyncMaster::AsyncMaster(const Instance& inst, SearchState& state,
+                         int processors,
+                         std::shared_ptr<const CandidateList> cands)
+    : state_(&state),
+      team_(inst, processors - 1, state.params().seed, std::move(cands)),
+      chunk_(std::max(1, state.params().neighborhood_size / processors)),
+      busy_(static_cast<std::size_t>(team_.num_workers()), false) {}
+
+void AsyncMaster::drain(std::optional<GenResult> result) {
+  while (result) {
+    busy_[static_cast<std::size_t>(result->worker_id)] = false;
+    inflight_ -= chunk_;
+    state_->charge_evaluations(
+        static_cast<std::int64_t>(result->candidates.size()));
+    pool_.insert(pool_.end(),
+                 std::make_move_iterator(result->candidates.begin()),
+                 std::make_move_iterator(result->candidates.end()));
+    result = team_.try_collect();
+  }
+}
+
+std::optional<SearchState::StepOutcome> AsyncMaster::iterate() {
+  SearchState& state = *state_;
+  const std::int64_t budget = state.params().max_evaluations;
+  // Dispatch fresh chunks (on the current solution) to idle workers, as
+  // long as the budget leaves room for the in-flight work.
+  for (int w = 0; w < team_.num_workers(); ++w) {
+    const std::int64_t headroom = budget - state.evaluations() - inflight_;
+    if (busy_[static_cast<std::size_t>(w)] || headroom < chunk_) continue;
+    team_.submit(GenRequest{state.current(), chunk_, ++ticket_});
+    busy_[static_cast<std::size_t>(w)] = true;
+    inflight_ += chunk_;
+    TSMO_COUNT("async.chunks_dispatched");
+  }
+
+  // Master's own share of the neighborhood.
+  const int master_chunk = static_cast<int>(
+      std::min<std::int64_t>(chunk_, budget - state.evaluations()));
+  if (master_chunk > 0) {
+    std::vector<Candidate> mine = state.generate_candidates(master_chunk);
+    pool_.insert(pool_.end(), std::make_move_iterator(mine.begin()),
+                 std::make_move_iterator(mine.end()));
+  }
+  drain(team_.try_collect());
+
+  // --- Algorithm 2: decide whether to keep waiting. ---
+  {
+    TSMO_SPAN_TIMED("async.wait", "async.wait_ns");
+    TSMO_PROFILE_FRAME("channel.wait");
+    const Timer wait_timer;
+    for (;;) {
+      const bool c1 =
+          std::any_of(busy_.begin(), busy_.end(), [](bool b) { return !b; });
+      const bool c2 =
+          std::any_of(pool_.begin(), pool_.end(), [&](const Candidate& c) {
+            return dominates(c.obj, state.current()->objectives());
+          });
+      const bool c3 = wait_timer.elapsed_ms() >= kWaitTooLongMs;
+      const bool c4 = state.budget_exhausted();
+      if (c1 || c2 || c3 || c4) break;
+      drain(team_.collect_for(std::chrono::microseconds(200)));
+    }
+  }
+
+  if (pool_.empty() && state.budget_exhausted()) return std::nullopt;
+  const SearchState::StepOutcome outcome = state.step_with_candidates(pool_);
+  // The considered pool is consumed; results still in flight will join
+  // the pool of the iteration in which they arrive.
+  pool_.clear();
+  return outcome;
+}
 
 RunResult AsyncTsmo::run() const {
   if (options_.deterministic) return run_deterministic();
@@ -23,83 +102,16 @@ RunResult AsyncTsmo::run() const {
   Timer timer;
   const auto cands = make_candidate_list(*inst_, params_.candidate_k);
   SearchState state(*inst_, params_, Rng(params_.seed), cands);
-  WorkerTeam team(*inst_, procs - 1, params_.seed, cands);
-  if (ctx_.recorder) team.enable_heartbeats(*ctx_.recorder, "async worker");
+  AsyncMaster master(*inst_, state, procs, cands);
+  if (ctx_.recorder) {
+    master.team().enable_heartbeats(*ctx_.recorder, "async worker");
+  }
   scope.attach(state);
   scope.restart_on_stall(state);
   state.initialize();
-
-  const int chunk = std::max(1, params_.neighborhood_size / procs);
-  std::vector<bool> busy(static_cast<std::size_t>(team.num_workers()),
-                         false);
-  std::int64_t inflight = 0;  // evaluations requested but not yet returned
-  std::vector<Candidate> pool;
-  std::uint64_t ticket = 0;
-
-  auto drain = [&](std::optional<GenResult> result) {
-    while (result) {
-      busy[static_cast<std::size_t>(result->worker_id)] = false;
-      inflight -= static_cast<std::int64_t>(chunk);
-      state.charge_evaluations(
-          static_cast<std::int64_t>(result->candidates.size()));
-      pool.insert(pool.end(),
-                  std::make_move_iterator(result->candidates.begin()),
-                  std::make_move_iterator(result->candidates.end()));
-      result = team.try_collect();
-    }
-  };
-
   while (!state.budget_exhausted()) {
-    // Dispatch fresh chunks (on the current solution) to idle workers, as
-    // long as the budget leaves room for the in-flight work.
-    for (int w = 0; w < team.num_workers(); ++w) {
-      const std::int64_t headroom = params_.max_evaluations -
-                                    state.evaluations() - inflight;
-      if (busy[static_cast<std::size_t>(w)] || headroom < chunk) continue;
-      team.submit(GenRequest{state.current(), chunk, ++ticket});
-      busy[static_cast<std::size_t>(w)] = true;
-      inflight += chunk;
-      TSMO_COUNT("async.chunks_dispatched");
-    }
-
-    // Master's own share of the neighborhood.
-    const std::int64_t remaining =
-        params_.max_evaluations - state.evaluations();
-    const int master_chunk =
-        static_cast<int>(std::min<std::int64_t>(chunk, remaining));
-    if (master_chunk > 0) {
-      std::vector<Candidate> mine = state.generate_candidates(master_chunk);
-      pool.insert(pool.end(), std::make_move_iterator(mine.begin()),
-                  std::make_move_iterator(mine.end()));
-    }
-    drain(team.try_collect());
-
-    // --- Algorithm 2: decide whether to keep waiting. ---
-    {
-      TSMO_SPAN_TIMED("async.wait", "async.wait_ns");
-      TSMO_PROFILE_FRAME("channel.wait");
-      const Timer wait_timer;
-      for (;;) {
-        const bool c1 = std::any_of(busy.begin(), busy.end(),
-                                    [](bool b) { return !b; });
-        const bool c2 = std::any_of(
-            pool.begin(), pool.end(), [&](const Candidate& c) {
-              return dominates(c.obj, state.current()->objectives());
-            });
-        const bool c3 = wait_timer.elapsed_ms() >= options_.wait_too_long_ms;
-        const bool c4 = state.budget_exhausted();
-        if (c1 || c2 || c3 || c4) break;
-        drain(team.collect_for(std::chrono::microseconds(200)));
-      }
-    }
-
-    if (pool.empty() && state.budget_exhausted()) break;
-    state.step_with_candidates(pool);
-    // The considered pool is consumed; results still in flight will join
-    // the pool of the iteration in which they arrive.
-    pool.clear();
+    if (!master.iterate()) break;
   }
-
   // Clears the stall action: the watchdog can no longer touch `state`.
   scope.finish(state.iterations());
   return collect_result(state, "async", timer.elapsed_seconds());
@@ -170,7 +182,7 @@ RunResult AsyncTsmo::run_deterministic() const {
     for (GenResult& r : results) {
       state.charge_evaluations(static_cast<std::int64_t>(r.candidates.size()));
       const bool defer =
-          !leading && schedule.chance(options_.defer_probability);
+          !leading && schedule.chance(kDeferProbability);
       state.trace().record_event(RunTrace::kTagDefer, r.ticket,
                                  defer ? 1 : 0);
       if (defer) TSMO_COUNT("async.chunks_deferred");

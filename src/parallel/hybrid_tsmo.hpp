@@ -7,10 +7,11 @@
 //
 // Topology: `islands` master threads, each driving `procs_per_island - 1`
 // generation workers (total processors = islands * procs_per_island).
-// Every island owns a full evaluation budget, perturbs its parameters like
-// a multisearch searcher (island 0 keeps the base), and after its initial
-// phase sends archive improvements to one peer island at a time through a
-// rotating communication list.
+// A free-running island drives an AsyncMaster.  Every island collaborates
+// by the §III.E rule (Collaborator, parallel/collaboration.hpp): it owns a
+// full evaluation budget, perturbs its parameters (island 0 keeps the
+// base), and after its initial phase sends archive improvements to one
+// peer island at a time through a rotating communication list.
 
 #include "core/run_context.hpp"
 #include "core/run_result.hpp"
@@ -23,15 +24,14 @@ struct HybridOptions {
   /// Deterministic replay mode (DESIGN.md §7): islands advance in
   /// lock-step rounds (messages sent in round r arrive in round r+1,
   /// sender-ordered) and each island runs the deterministic async chunk
-  /// schedule — seeded chunk RNGs plus a seeded straggler model — with
-  /// the chunks evaluated inline on the island's thread.  The same seed
-  /// fingerprints identically for any `exec_threads`.
+  /// schedule — seeded chunk RNGs plus the seeded straggler model
+  /// (kDeferProbability) — with the chunks evaluated inline on the
+  /// island's thread.  The same seed fingerprints identically for any
+  /// `exec_threads`.
   bool deterministic = false;
   /// Threads executing island rounds; 0 selects one per island.
   /// Execution width only — never affects the result.
   int exec_threads = 0;
-  /// Straggler model within each island (see AsyncOptions).
-  double defer_probability = 0.25;
 };
 
 class HybridTsmo {
@@ -50,8 +50,6 @@ class HybridTsmo {
   MultisearchResult run() const;
 
  private:
-  MultisearchResult run_deterministic() const;
-
   const Instance* inst_;
   TsmoParams params_;
   int islands_;

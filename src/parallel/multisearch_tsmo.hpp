@@ -10,7 +10,9 @@
 // the head of its private communication list, which is then rotated.  The
 // receiver tries to store it in its M_nondom, from where a restart can pick
 // it up ("good solutions find their way to other searchers who can explore
-// this region as well").
+// this region as well").  The rule is Collaborator's
+// (parallel/collaboration.hpp); each searcher takes one plain TSMO step per
+// iteration.
 //
 // Budget semantics: every searcher owns a full evaluation budget — the
 // paper observes the collaborative variant "performs a sequential
@@ -60,8 +62,6 @@ class MultisearchTsmo {
   MultisearchResult run() const;
 
  private:
-  MultisearchResult run_deterministic() const;
-
   const Instance* inst_;
   TsmoParams params_;
   int processors_;

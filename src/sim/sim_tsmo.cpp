@@ -7,6 +7,7 @@
 #include <string>
 
 #include "core/sequential_tsmo.hpp"
+#include "parallel/collaboration.hpp"
 #include "sim/des.hpp"
 #include "util/telemetry.hpp"
 
@@ -212,15 +213,16 @@ namespace {
 
 class AsyncSimCore {
  public:
-  /// Attaches the master to `scope` under `searcher` before initializing.
+  /// Attaches the master to `scope` under `searcher` before initializing;
+  /// the master and its workers share the run's candidate list `cands`.
   AsyncSimCore(const Instance& inst, const TsmoParams& params,
                int processors, const CostModel& cost,
                SimAsyncOptions options, const RunScope& scope,
-               int searcher = 0)
+               std::shared_ptr<const CandidateList> cands, int searcher = 0)
       : params_(params),
         cost_(cost),
         options_(std::move(options)),
-        cands_(make_candidate_list(inst, params.candidate_k)),
+        cands_(std::move(cands)),
         state_(inst, params, Rng(params.seed), cands_),
         noise_(params.seed ^ 0xa57cULL) {
     const int procs = std::max(2, processors);
@@ -380,7 +382,7 @@ RunResult run_sim_async(const Instance& inst, const TsmoParams& params,
   RunScope scope("run.sim-async", params, ctx, 1,
                  std::max(2, processors) - 1);
   AsyncSimCore core(inst, params, processors, cost, std::move(options),
-                    scope);
+                    scope, make_candidate_list(inst, params.candidate_k));
   double t = cost.eval_us;  // initial construction
   while (!core.done()) {
     const auto iter = core.iterate(t);
@@ -410,33 +412,24 @@ MultisearchResult run_sim_multisearch(const Instance& inst,
   const double contention = cost.contention_factor(procs);
 
   struct CollSearcher {
+    Collaborator collab;
     std::unique_ptr<SearchState> state;
-    TsmoParams params;
-    std::vector<int> comm;
     std::vector<std::shared_ptr<const Solution>> mailbox;
-    bool initial_phase = true;
     double finish_time = 0.0;
-    std::int64_t sent = 0;
   };
-  std::vector<CollSearcher> searchers(n);
+  std::vector<CollSearcher> searchers;
+  searchers.reserve(n);
   std::int64_t messages_sent = 0, messages_accepted = 0;
+  // candidate_k is never perturbed, so every searcher shares one list.
+  const auto cands = make_candidate_list(inst, params.candidate_k);
 
   for (int id = 0; id < procs; ++id) {
-    auto& s = searchers[static_cast<std::size_t>(id)];
-    Rng rng(params.seed + static_cast<std::uint64_t>(id) * 0x51ed2701ULL);
-    s.params = id == 0 ? params : params.perturbed(rng);
-    s.params.max_evaluations = params.max_evaluations;
-    s.params.seed = rng.next();
-    s.state =
-        std::make_unique<SearchState>(inst, s.params, Rng(s.params.seed));
-    scope.attach(*s.state, id);
-    s.state->initialize();
-    for (int k = 0; k < procs; ++k) {
-      if (k != id) s.comm.push_back(k);
-    }
-    for (std::size_t k = s.comm.size(); k > 1; --k) {
-      std::swap(s.comm[k - 1], s.comm[rng.below(k)]);
-    }
+    Collaborator collab(params, id, procs, CollExchange::salt);
+    auto state = std::make_unique<SearchState>(
+        inst, collab.params(), Rng(collab.params().seed), cands);
+    scope.attach(*state, id);
+    state->initialize();
+    searchers.push_back({std::move(collab), std::move(state), {}, 0.0});
   }
 
   Simulation sim;
@@ -454,10 +447,9 @@ MultisearchResult run_sim_multisearch(const Instance& inst,
     }
     s.mailbox.clear();
 
-    const std::int64_t remaining =
-        s.params.max_evaluations - s.state->evaluations();
+    const TsmoParams& p = s.collab.params();
     const int want = static_cast<int>(std::min<std::int64_t>(
-        s.params.neighborhood_size, remaining));
+        p.neighborhood_size, p.max_evaluations - s.state->evaluations()));
     if (want <= 0) {
       s.finish_time = sim.now();
       return;
@@ -468,19 +460,15 @@ MultisearchResult run_sim_multisearch(const Instance& inst,
     dt += selection_cost(candidates.size(), cost);
     dt *= contention;
 
-    if (s.initial_phase && s.state->iterations_since_improvement() >=
-                               s.params.restart_after) {
-      s.initial_phase = false;
-    }
-    if (!s.initial_phase && outcome.archive_improved && !s.comm.empty()) {
-      const int target = s.comm.front();
-      std::rotate(s.comm.begin(), s.comm.begin() + 1, s.comm.end());
+    if (const auto target = s.collab.send_target(
+            s.state->iterations_since_improvement(),
+            outcome.archive_improved)) {
       dt += cost.msg_us + cost.transfer_solution_us;
       ++messages_sent;
       std::shared_ptr<const Solution> payload = s.state->current();
       sim.schedule_after(dt + cost.msg_us,
-                         [&, target, payload = std::move(payload)] {
-                           searchers[static_cast<std::size_t>(target)]
+                         [&, to = *target, payload = std::move(payload)] {
+                           searchers[static_cast<std::size_t>(to)]
                                .mailbox.push_back(payload);
                          });
     }
@@ -524,31 +512,23 @@ MultisearchResult run_sim_hybrid(const Instance& inst,
   const double contention = cost.contention_factor(k);
 
   struct Island {
+    Collaborator collab;
     std::unique_ptr<AsyncSimCore> core;
-    TsmoParams params;
-    std::vector<int> comm;
     std::vector<std::shared_ptr<const Solution>> mailbox;
-    bool initial_phase = true;
     double finish_time = 0.0;
   };
-  std::vector<Island> nodes(n);
+  std::vector<Island> nodes;
+  nodes.reserve(n);
   std::int64_t messages_sent = 0, messages_accepted = 0;
+  // candidate_k is never perturbed, so every island shares one list.
+  const auto cands = make_candidate_list(inst, params.candidate_k);
 
   for (int id = 0; id < k; ++id) {
-    auto& isl = nodes[static_cast<std::size_t>(id)];
-    Rng rng(params.seed + static_cast<std::uint64_t>(id) * 0x9d2c5680ULL);
-    isl.params = id == 0 ? params : params.perturbed(rng);
-    isl.params.max_evaluations = params.max_evaluations;
-    isl.params.seed = rng.next();
-    isl.core = std::make_unique<AsyncSimCore>(
-        inst, isl.params, procs_per_island, cost, SimAsyncOptions{}, scope,
-        id);
-    for (int j = 0; j < k; ++j) {
-      if (j != id) isl.comm.push_back(j);
-    }
-    for (std::size_t j = isl.comm.size(); j > 1; --j) {
-      std::swap(isl.comm[j - 1], isl.comm[rng.below(j)]);
-    }
+    Collaborator collab(params, id, k, HybridExchange::salt);
+    auto core = std::make_unique<AsyncSimCore>(
+        inst, collab.params(), procs_per_island, cost, SimAsyncOptions{},
+        scope, cands, id);
+    nodes.push_back({std::move(collab), std::move(core), {}, 0.0});
   }
 
   Simulation sim;
@@ -574,20 +554,15 @@ MultisearchResult run_sim_hybrid(const Instance& inst,
     }
     double end = sim.now() + (iter.end_time - sim.now()) * contention;
 
-    if (isl.initial_phase &&
-        isl.core->state().iterations_since_improvement() >=
-            isl.params.restart_after) {
-      isl.initial_phase = false;
-    }
-    if (!isl.initial_phase && iter.archive_improved && !isl.comm.empty()) {
-      const int target = isl.comm.front();
-      std::rotate(isl.comm.begin(), isl.comm.begin() + 1, isl.comm.end());
+    if (const auto target = isl.collab.send_target(
+            isl.core->state().iterations_since_improvement(),
+            iter.archive_improved)) {
       end += cost.msg_us + cost.transfer_solution_us;
       ++messages_sent;
       std::shared_ptr<const Solution> payload = isl.core->state().current();
       sim.schedule_at(end + cost.msg_us,
-                      [&, target, payload = std::move(payload)] {
-                        nodes[static_cast<std::size_t>(target)]
+                      [&, to = *target, payload = std::move(payload)] {
+                        nodes[static_cast<std::size_t>(to)]
                             .mailbox.push_back(payload);
                       });
     }

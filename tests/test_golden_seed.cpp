@@ -41,6 +41,7 @@
 #include "parallel/hybrid_tsmo.hpp"
 #include "parallel/multisearch_tsmo.hpp"
 #include "parallel/sync_tsmo.hpp"
+#include "sim/sim_tsmo.hpp"
 #include "util/profiler.hpp"
 #include "vrptw/generator.hpp"
 
@@ -478,6 +479,67 @@ TEST_F(GoldenSeedTest, PrunedModeDeterministicAcrossWidths) {
         runs.push_back(HybridTsmo(inst_, p, 2, 2, options).run().merged);
       }
       expect_identical(runs, "hybrid-det.pruned.seed" + std::to_string(seed));
+    }
+  }
+}
+
+/// The §III.E exchange: with restart_after = 5 the searchers leave their
+/// initial phase early enough to send, so these pins hold the send rule
+/// and the lock-step routing (coll-det, hybrid-det, across 1/2/4
+/// execution threads) and the DES delivery (sim-coll, sim-hybrid).
+TEST_F(GoldenSeedTest, ExchangePinnedAcrossEngines) {
+  const CostModel cost = CostModel::for_instance(inst_);
+  for (int candidate_k : {0, 16}) {
+    const std::string variant =
+        candidate_k == 0 ? ".exchange" : ".exchange.pruned";
+    for (std::uint64_t seed : kSeeds) {
+      TsmoParams p = golden_params(seed);
+      p.restart_after = 5;
+      p.candidate_k = candidate_k;
+      const std::string suffix = variant + ".seed" + std::to_string(seed);
+      // Every run of one configuration sends the same messages; with
+      // uniform sampling they must send some.
+      const auto expect_exchange =
+          [&](const std::vector<MultisearchResult>& full,
+              const std::string& key) {
+            std::vector<RunResult> merged;
+            for (const MultisearchResult& r : full) {
+              EXPECT_EQ(r.messages_sent, full.front().messages_sent) << key;
+              EXPECT_EQ(r.messages_accepted, full.front().messages_accepted)
+                  << key;
+              merged.push_back(r.merged);
+            }
+            if (candidate_k == 0) {
+              EXPECT_GT(full.front().messages_sent, 0) << key;
+            }
+            expect_identical(merged, key);
+          };
+      {
+        std::vector<MultisearchResult> full;
+        for (int exec : kExecWidths) {
+          MultisearchOptions options;
+          options.deterministic = true;
+          options.exec_threads = exec;
+          full.push_back(MultisearchTsmo(inst_, p, 3, options).run());
+        }
+        expect_exchange(full, "coll-det" + suffix);
+      }
+      {
+        std::vector<MultisearchResult> full;
+        for (int exec : kExecWidths) {
+          HybridOptions options;
+          options.deterministic = true;
+          options.exec_threads = exec;
+          full.push_back(HybridTsmo(inst_, p, 2, 2, options).run());
+        }
+        expect_exchange(full, "hybrid-det" + suffix);
+      }
+      expect_exchange({run_sim_multisearch(inst_, p, 3, cost),
+                       run_sim_multisearch(inst_, p, 3, cost)},
+                      "sim-coll" + suffix);
+      expect_exchange({run_sim_hybrid(inst_, p, 2, 2, cost),
+                       run_sim_hybrid(inst_, p, 2, 2, cost)},
+                      "sim-hybrid" + suffix);
     }
   }
 }

@@ -1103,9 +1103,10 @@ TEST_F(FlightRecorderTest, SigsegvInWorkerThreadWritesPostmortem) {
       // A low unmapped (but non-null, aligned) address: faults like the
       // classic null store without tripping UBSan's null-pointer check,
       // which would halt the child before the signal under
-      // UBSAN_OPTIONS=halt_on_error=1.
-      volatile int* target = reinterpret_cast<volatile int*>(
-          static_cast<std::uintptr_t>(8));
+      // UBSAN_OPTIONS=halt_on_error=1.  The address goes through a
+      // volatile integer so the compiler cannot see the store's target.
+      volatile std::uintptr_t address = 8;
+      volatile int* target = reinterpret_cast<volatile int*>(address);
       *target = 42;
     });
     crasher.join();
@@ -1185,7 +1186,9 @@ TEST(GracefulStop, SigintFlushesPartialRunResult) {
         ::testing::TempDir() + "tsmo_stop_result.json";
     std::remove(json_path.c_str());
     int out[2] = {-1, -1};
-    if (serve) ASSERT_EQ(::pipe(out), 0) << std::strerror(errno);
+    if (serve) {
+      ASSERT_EQ(::pipe(out), 0) << std::strerror(errno);
+    }
 
     // A budget far past what the wait below allows to complete, so the exit
     // can only come from the cooperative stop path.
