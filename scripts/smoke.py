@@ -3,7 +3,9 @@
 
 Phases, in order:
   telemetry    Table I at ci scale and an async run with --telemetry-out:
-               Chrome trace, JSONL gauges and latency histograms.
+               Chrome trace, JSONL gauges and latency histograms; Table I's
+               CSV must equal the committed bench_results/table1.csv byte
+               for byte (the ci-scale table is deterministic).
   convergence  seq/sync/async/coll/hybrid and simulated async with the
                anytime recorder: convergence.jsonl schema, monotone
                hypervolume, per-worker insertion attribution.
@@ -43,6 +45,7 @@ of comparing against it.
 import argparse
 import contextlib
 import copy
+import difflib
 import functools
 import glob
 import json
@@ -61,6 +64,7 @@ OUT = "smoke"
 SOLVER_CLI = "build/examples/solver_cli"
 MICRO_TELEMETRY = "build/bench/micro_telemetry"
 GOLDEN = "tests/golden/job_smoke_result.golden.json"
+TABLE1_CSV = "bench_results/table1.csv"
 COMMAND_TIMEOUT_S = 1200
 
 GOLDEN_JOB = {
@@ -125,13 +129,27 @@ def load_jsonl(path):
         return [json.loads(line) for line in fh]
 
 
-def run(*argv, env=None):
+def run(*argv, env=None, cwd=None):
     """Runs one command to completion; a non-zero exit fails the phase."""
     print("$", " ".join(argv))
     full_env = dict(os.environ, **env) if env else None
-    code = subprocess.run(argv, env=full_env,
+    code = subprocess.run(argv, env=full_env, cwd=cwd,
                           timeout=COMMAND_TIMEOUT_S).returncode
     check(code == 0, f"{os.path.basename(argv[0])} exited 0 (got {code})")
+
+
+def check_same_bytes(got_path, want_path):
+    """Fails unless the two files are byte-identical; prints a diff."""
+    with open(got_path, "rb") as fh:
+        got = fh.read()
+    with open(want_path, "rb") as fh:
+        want = fh.read()
+    if got != want:
+        sys.stdout.writelines(difflib.unified_diff(
+            want.decode(errors="replace").splitlines(keepends=True),
+            got.decode(errors="replace").splitlines(keepends=True),
+            want_path, got_path))
+    check(got == want, f"{got_path} equals the committed {want_path}")
 
 
 # ---------------------------------------------------------------- HTTP
@@ -214,8 +232,14 @@ def announced_port(proc, log_path):
 
 
 def phase_telemetry():
-    run("build/bench/table1_400_small_tw", "--telemetry-out",
-        out("table1_trace.json"), env={"TSMO_BENCH_SCALE": "ci"})
+    # Table I writes bench_results/table1.csv under its working directory,
+    # so it runs in smoke/table1 and its table is compared, not rewritten.
+    table_dir = out("table1")
+    os.makedirs(table_dir)
+    run(os.path.join(ROOT, "build/bench/table1_400_small_tw"),
+        "--telemetry-out", os.path.join(ROOT, out("table1_trace.json")),
+        env={"TSMO_BENCH_SCALE": "ci"}, cwd=table_dir)
+    check_same_bytes(os.path.join(table_dir, TABLE1_CSV), TABLE1_CSV)
     run(SOLVER_CLI, "--instance", "R1_1_1", "--algorithm", "async",
         "--processors", "3", "--evaluations", "4000", "--quiet",
         "--telemetry-out", out("async_trace.json"),

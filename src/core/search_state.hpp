@@ -109,8 +109,7 @@ class SearchState {
   /// stored.
   bool receive(std::shared_ptr<const Solution> s);
 
-  /// True when this searcher would currently emit an improving solution —
-  /// i.e. its last step added to the archive.
+  /// Steps taken since initialization (one per step_with_candidates call).
   std::int64_t iterations() const noexcept { return iterations_; }
   std::int64_t restarts() const noexcept { return restarts_; }
   std::int64_t evaluations() const noexcept { return evaluations_; }

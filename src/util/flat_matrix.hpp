@@ -6,6 +6,7 @@
 
 #include <cassert>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace tsmo {
@@ -30,6 +31,12 @@ class FlatMatrix {
   const T& operator()(std::size_t r, std::size_t c) const noexcept {
     assert(r < rows_ && c < cols_);
     return data_[r * cols_ + c];
+  }
+
+  /// Row r as one contiguous span of cols() entries.
+  std::span<const T> row(std::size_t r) const noexcept {
+    assert(r < rows_);
+    return {data_.data() + r * cols_, cols_};
   }
 
   const std::vector<T>& data() const noexcept { return data_; }

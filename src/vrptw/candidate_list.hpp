@@ -19,8 +19,10 @@
 // Lists are sorted by (distance, site index) — a total order independent of
 // construction order — and stored in one flat CSR allocation, so the layer
 // is deterministic and cheap to share read-only across searchers and
-// worker threads.  Built once per Instance per run (O(N^2) with a partial
-// sort; ~milliseconds at 1000 customers).
+// worker threads.  Built once per Instance per run: per site, one
+// branch-free pass over its row of T (both directions read that row, as T
+// is symmetric bit for bit) and a partial sort of the survivors; a few
+// milliseconds at 1000 customers.
 
 #include <cstdint>
 #include <memory>

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -71,6 +72,16 @@ class Instance {
   /// t_{i,j}: Euclidean travel cost (== travel time; unit speed).
   double distance(int i, int j) const noexcept {
     return dist_(static_cast<std::size_t>(i), static_cast<std::size_t>(j));
+  }
+
+  /// Row i of T, one contiguous span over all sites: distance_row(i)[j]
+  /// is distance(i, j).  T is symmetric bit for bit (the constructor
+  /// computes each pair once and stores it both ways), so the row is
+  /// also column i: distance_row(i)[j] == distance(j, i) exactly.  Whole-
+  /// row passes (I1's insertion columns, the candidate lists) read
+  /// t(j, i) from here instead of striding down a column.
+  std::span<const double> distance_row(int i) const noexcept {
+    return dist_.row(static_cast<std::size_t>(i));
   }
 
   /// Sum of all customer demands; a lower bound on fleet usage is

@@ -82,24 +82,16 @@ bool insertion_keeps_schedule(const Instance& inst,
   assert(position <= route.size());
   assert(schedule.size() == route.size());
   const Site& site = inst.site(c);
-
+  const bool last = position == route.size();
   const int pred = position > 0 ? route[position - 1] : 0;
+  const int succ = last ? 0 : route[position];
   const double depart_pred =
       position > 0 ? schedule.departure[position - 1] : 0.0;
-  const double arrival_c = depart_pred + inst.distance(pred, c);
-  if (arrival_c > site.due) return false;  // the insert itself is late
-  const double departure_c =
-      std::max(arrival_c, site.ready) + site.service;
-
-  if (position == route.size()) {
-    const double new_return = departure_c + inst.distance(c, 0);
-    const double delay = new_return - schedule.depot_return;
-    return delay <= schedule.forward_slack[position];
-  }
-  const int succ = route[position];
-  const double new_arrival_succ = departure_c + inst.distance(c, succ);
-  const double delay = new_arrival_succ - schedule.arrival[position];
-  return delay <= schedule.forward_slack[position];
+  const double succ_arrival =
+      last ? schedule.depot_return : schedule.arrival[position];
+  return insertion_push(depart_pred, inst.distance(pred, c), site.ready,
+                        site.due, site.service, inst.distance(c, succ),
+                        succ_arrival) <= schedule.forward_slack[position];
 }
 
 }  // namespace tsmo

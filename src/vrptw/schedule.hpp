@@ -6,6 +6,8 @@
 // creating new tardiness).  Used by the exact feasibility screen, the
 // diagnostics in instance_tool, and tests.
 
+#include <algorithm>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -43,9 +45,28 @@ struct RouteSchedule {
   static RouteSchedule compute(const Solution& s, int r);
 };
 
+/// The slack test of one insertion, shared by insertion_keeps_schedule and
+/// I1's insertion columns.  A visit leaving its predecessor at
+/// `depart_pred` arrives `to_c` later, starts at max(arrival, `ready`),
+/// leaves after `service` and reaches the successor `c_to_succ` later;
+/// the result is how far that pushes the successor's old arrival
+/// `succ_arrival`, or NaN when the visit itself arrives after `due`.  The
+/// insertion adds no lateness exactly when `push <= forward slack` of the
+/// successor (NaN compares false).  The lateness mark is added rather
+/// than selected so a loop over many visits stays branch-free; adding 0
+/// can only turn a -0 push into +0, which compares the same.
+inline double insertion_push(double depart_pred, double to_c, double ready,
+                             double due, double service, double c_to_succ,
+                             double succ_arrival) noexcept {
+  const double arrival = depart_pred + to_c;
+  const double reach_succ = std::max(arrival, ready) + service + c_to_succ;
+  return (reach_succ - succ_arrival) +
+         (arrival > due ? std::numeric_limits<double>::quiet_NaN() : 0.0);
+}
+
 /// True when inserting customer `c` at `position` of `route` keeps the
 /// route free of (additional) tardiness — the exact counterpart of the
-/// paper's local criterion, O(route length) via the precomputed slack.
+/// paper's local criterion, O(1) given the precomputed slack.
 /// `schedule` must be compute()'d from the same route.
 bool insertion_keeps_schedule(const Instance& inst,
                               std::span<const int> route,

@@ -40,24 +40,43 @@ std::vector<std::int32_t> brute_force_neighbors(const Instance& inst,
   return cands;
 }
 
-TEST(CandidateList, MatchesBruteForceOnGeneratedInstances) {
-  for (const char* name : {"R1_1_1", "C1_1_1", "RC1_1_2", "R2_1_1"}) {
-    const Instance inst = generate_named(name);
-    for (const int k : {1, 5, 16}) {
-      const CandidateList list(inst, k);
-      ASSERT_EQ(list.k(), k);
-      ASSERT_EQ(list.num_sites(), inst.num_sites());
-      for (int s = 0; s < inst.num_sites(); ++s) {
-        const auto got = list.neighbors(s);
-        const auto want = brute_force_neighbors(inst, s, k);
-        ASSERT_EQ(got.size(), want.size()) << name << " k=" << k
-                                           << " site " << s;
-        for (std::size_t i = 0; i < want.size(); ++i) {
-          ASSERT_EQ(got[i], want[i]) << name << " k=" << k << " site "
-                                     << s << " rank " << i;
-        }
+// Also pins the build statistics: every ordered (site, customer) pair is
+// counted once, as kept or as pruned by the either-direction filter.
+void expect_matches_brute_force(const char* name, int k) {
+  const Instance inst = generate_named(name);
+  const CandidateList list(inst, k);
+  ASSERT_EQ(list.k(), k);
+  ASSERT_EQ(list.num_sites(), inst.num_sites());
+  std::uint64_t kept = 0, pruned = 0;
+  for (int s = 0; s < inst.num_sites(); ++s) {
+    const auto got = list.neighbors(s);
+    const auto want = brute_force_neighbors(inst, s, k);
+    ASSERT_EQ(got.size(), want.size()) << name << " k=" << k << " site " << s;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got[i], want[i]) << name << " k=" << k << " site " << s
+                                 << " rank " << i;
+    }
+    for (int c = 1; c <= inst.num_customers(); ++c) {
+      if (c == s) continue;
+      if (tw_reachable(inst, s, c) || tw_reachable(inst, c, s)) {
+        ++kept;
+      } else {
+        ++pruned;
       }
     }
+  }
+  EXPECT_EQ(list.pairs_kept(), kept) << name << " k=" << k;
+  EXPECT_EQ(list.pairs_tw_pruned(), pruned) << name << " k=" << k;
+}
+
+TEST(CandidateList, MatchesBruteForceOnGeneratedInstances) {
+  for (const char* name : {"R1_1_1", "C1_1_1", "RC1_1_2", "R2_1_1"}) {
+    for (const int k : {1, 5, 16}) expect_matches_brute_force(name, k);
+  }
+  // The six 1000-customer classes at the pruned benchmark's k.
+  for (const char* name : {"R1_10_1", "R2_10_1", "C1_10_1", "C2_10_1",
+                           "RC1_10_1", "RC2_10_1"}) {
+    expect_matches_brute_force(name, 16);
   }
 }
 

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <sstream>
+
 #include "test_support.hpp"
+#include "vrptw/generator.hpp"
+#include "vrptw/solomon_io.hpp"
 
 namespace tsmo {
 namespace {
@@ -27,13 +33,31 @@ TEST(Instance, EuclideanDistances) {
   EXPECT_DOUBLE_EQ(inst.distance(2, 4), 8.0);
 }
 
+// I1's insertion columns and the candidate lists read t(j, i) from row i
+// (Instance::distance_row), so T must be symmetric bit for bit, not
+// within a tolerance: checked on the hand-built instance, a generated
+// 1000-customer clustered one and a Solomon-parsed one.
 TEST(Instance, DistanceMatrixIsSymmetricWithZeroDiagonal) {
-  const Instance inst = testing::tiny_instance();
-  for (int i = 0; i < inst.num_sites(); ++i) {
-    EXPECT_EQ(inst.distance(i, i), 0.0);
-    for (int j = 0; j < inst.num_sites(); ++j) {
-      EXPECT_DOUBLE_EQ(inst.distance(i, j), inst.distance(j, i));
+  std::stringstream solomon;
+  write_solomon(solomon, generate_named("RC2_2_1"));
+  const Instance instances[] = {testing::tiny_instance(),
+                                generate_named("C1_10_1"),
+                                read_solomon(solomon)};
+  const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+  for (const Instance& inst : instances) {
+    long asymmetric = 0, row_mismatch = 0;
+    for (int i = 0; i < inst.num_sites(); ++i) {
+      EXPECT_EQ(bits(inst.distance(i, i)), bits(0.0)) << inst.name();
+      const auto row = inst.distance_row(i);
+      ASSERT_EQ(row.size(), static_cast<std::size_t>(inst.num_sites()));
+      for (int j = 0; j < inst.num_sites(); ++j) {
+        asymmetric += bits(inst.distance(i, j)) != bits(inst.distance(j, i));
+        row_mismatch += bits(row[static_cast<std::size_t>(j)]) !=
+                        bits(inst.distance(j, i));
+      }
     }
+    EXPECT_EQ(asymmetric, 0) << inst.name();
+    EXPECT_EQ(row_mismatch, 0) << inst.name();
   }
 }
 
