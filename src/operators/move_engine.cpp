@@ -1,7 +1,9 @@
 #include "operators/move_engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstdlib>
 
 #include "util/profiler.hpp"
 #include "util/telemetry.hpp"
@@ -711,30 +713,70 @@ std::optional<Move> MoveEngine::propose_or_opt(const Solution& base,
 // ---------------------------------------------------------------------------
 // Pruned proposals (DESIGN.md §11)
 //
-// Each sampler anchors on a uniformly random customer c, then walks c's
-// candidate list from a random start until it finds a partner that yields a
-// move passing the SAME junction/load conditions locally_feasible checks.
-// All conditions are O(1) (distance-matrix lookups and cached loads), so a
-// successful draw is guaranteed to survive the Local screen — the pruned
-// path converts screen rejections into a bounded O(k) pre-filtered walk.
-// Index arithmetic below produces only applicable moves by construction.
+// Each sampler anchors on a uniformly random customer c, draws a random
+// start slot in c's candidate row, and takes the first partner at or after
+// that slot (cyclically) whose move passes the SAME junction/load
+// conditions locally_feasible checks.  So a successful draw survives the
+// Local screen by construction, and the index arithmetic produces only
+// applicable moves.
+//
+// The verdicts of 64 slots at a time come from one branch-free pass into a
+// bitmask: junctions from the Instance's bitmap, a partner's route,
+// position and neighbours from its Solution::Visit record, loads from
+// route_stats.  A partner that is unrouted or on the wrong route still
+// reads a valid route (its index clamped) and has its verdict masked off.
+// Words are scanned from the start slot's word, so a row of at most 64
+// partners is one word and a longer one is walked a word at a time.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-/// First neighbor satisfying `pred`, scanning the list cyclically from a
-/// random start so ties across draws stay unbiased; -1 when none qualifies.
-template <typename Pred>
-int walk_neighbors(std::span<const std::int32_t> nb, Rng& rng, Pred&& pred) {
-  if (nb.empty()) return -1;
-  const std::size_t start =
-      static_cast<std::size_t>(rng.below(nb.size()));
-  for (std::size_t t = 0; t < nb.size(); ++t) {
-    const int u = nb[(start + t) % nb.size()];
-    if (pred(u)) return u;
+/// Verdict bits of slots [64 w, 64 w + 64) of `nb`: bit b is ok(nb[64 w + b]).
+template <typename Ok>
+std::uint64_t slot_mask(std::span<const std::int32_t> nb, std::size_t w,
+                        Ok& ok) {
+  const std::size_t first = w * 64;
+  const std::size_t count = std::min<std::size_t>(64, nb.size() - first);
+  std::uint64_t bits = 0;
+  for (std::size_t b = 0; b < count; ++b) {
+    bits |= static_cast<std::uint64_t>(ok(nb[first + b])) << b;
   }
-  return -1;
+  return bits;
 }
+
+/// The partner a cyclic walk of `nb` from a random start slot takes: the
+/// first whose slot bit is set and that `accept` (a second-stage test, run
+/// in walk order on set slots only) takes; -1 when none does or `nb` is
+/// empty.  Draws exactly one number, the start, uniform over the row, and
+/// none for an empty row.
+template <typename Ok, typename Accept>
+int pick_partner(std::span<const std::int32_t> nb, Rng& rng, Ok&& ok,
+                 Accept&& accept) {
+  if (nb.empty()) return -1;
+  const auto start = static_cast<std::size_t>(rng.below(nb.size()));
+  const auto take = [&](std::size_t w, std::uint64_t bits) {
+    for (; bits != 0; bits &= bits - 1) {
+      const int v = nb[w * 64 + static_cast<std::size_t>(
+                                   std::countr_zero(bits))];
+      if (accept(v)) return v;
+    }
+    return -1;
+  };
+  const std::size_t words = (nb.size() + 63) / 64;
+  const std::size_t w0 = start >> 6;
+  const std::uint64_t from_start = ~std::uint64_t{0} << (start & 63);
+  const std::uint64_t first = slot_mask(nb, w0, ok);
+  int u = take(w0, first & from_start);
+  for (std::size_t w = w0 + 1; u < 0 && w < words; ++w) {
+    u = take(w, slot_mask(nb, w, ok));
+  }
+  for (std::size_t w = 0; u < 0 && w < w0; ++w) {
+    u = take(w, slot_mask(nb, w, ok));
+  }
+  return u < 0 ? take(w0, first & ~from_start) : u;
+}
+
+constexpr auto kAnyPartner = [](int) { return true; };
 
 }  // namespace
 
@@ -748,26 +790,31 @@ std::optional<Move> MoveEngine::propose_relocate_pruned(const Solution& base,
   const double cap = inst_->capacity();
   const double dc = inst_->site(c).demand;
   // Insert c directly before or after its candidate partner u; the side is
-  // fixed by which junction direction is TW-reachable (an rng bit breaks
-  // the tie when both are — the candidate list guarantees at least one is).
-  int side = 0;
-  const int u = walk_neighbors(cands_->neighbors(c), rng, [&](int v) {
-    const int r2 = base.route_of(v);
-    if (r2 < 0 || r2 == r1) return false;
-    if (base.route_stats(r2).load + dc > cap) return false;
-    const auto& route2 = base.route(r2);
-    const int pv = base.position_of(v);
-    const bool after =
-        edge_ok(v, c) && edge_ok(c, at_or_depot(route2, pv + 1));
-    const bool before =
-        edge_ok(c, v) && edge_ok(at_or_depot(route2, pv - 1), c);
-    if (!after && !before) return false;
-    side = after && before ? static_cast<int>(rng.below(2)) : (after ? 1 : 0);
-    return true;
-  });
+  // fixed by which junction direction is TW-reachable (an rng bit, drawn
+  // after the pick, breaks the tie when both are).
+  const auto after = [&](int v, const Solution::Visit& at) {
+    return edge_ok(v, c) & edge_ok(c, at.succ);
+  };
+  const auto before = [&](int v, const Solution::Visit& at) {
+    return edge_ok(c, v) & edge_ok(at.pred, c);
+  };
+  const int u = pick_partner(
+      cands_->neighbors(c), rng,
+      [&](int v) {
+        const Solution::Visit& at = base.visit(v);
+        const int r2 = std::max(at.route, 0);
+        const bool fits = !(base.route_stats(r2).load + dc > cap);
+        return (at.route >= 0) & (at.route != r1) & fits &
+               (after(v, at) | before(v, at));
+      },
+      kAnyPartner);
   if (u < 0) return std::nullopt;
-  return Move{MoveType::Relocate, r1, base.route_of(u),
-              base.position_of(c), base.position_of(u) + side};
+  const Solution::Visit& at = base.visit(u);
+  const bool a = after(u, at);
+  const bool b = before(u, at);
+  const int side = a && b ? static_cast<int>(rng.below(2)) : (a ? 1 : 0);
+  return Move{MoveType::Relocate, r1, at.route, base.position_of(c),
+              at.position + side};
 }
 
 std::optional<Move> MoveEngine::propose_exchange_pruned(const Solution& base,
@@ -775,30 +822,29 @@ std::optional<Move> MoveEngine::propose_exchange_pruned(const Solution& base,
   const int n = inst_->num_customers();
   if (n < 2) return std::nullopt;
   const int c1 = 1 + static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
-  const int r1 = base.route_of(c1);
+  const Solution::Visit& anchor = base.visit(c1);
+  const int r1 = anchor.route;
   if (r1 < 0) return std::nullopt;
-  const auto& route1 = base.route(r1);
-  const int i = base.position_of(c1);
-  const int p1 = at_or_depot(route1, i - 1);
-  const int s1 = at_or_depot(route1, i + 1);
+  const int p1 = anchor.pred;
+  const int s1 = anchor.succ;
   const double cap = inst_->capacity();
-  const double d1 = inst_->site(c1).demand;
+  const double* demand = inst_->soa().demand.data();
+  const double d1 = demand[c1];
   const double load1 = base.route_stats(r1).load;
-  const int c2 = walk_neighbors(cands_->neighbors(c1), rng, [&](int v) {
-    const int r2 = base.route_of(v);
-    if (r2 < 0 || r2 == r1) return false;
-    const double d2 = inst_->site(v).demand;
-    if (load1 - d1 + d2 > cap) return false;
-    if (base.route_stats(r2).load - d2 + d1 > cap) return false;
-    const auto& route2 = base.route(r2);
-    const int pv = base.position_of(v);
-    const int p2 = at_or_depot(route2, pv - 1);
-    const int s2 = at_or_depot(route2, pv + 1);
-    return edge_ok(p1, v) && edge_ok(v, s1) && edge_ok(p2, c1) &&
-           edge_ok(c1, s2);
-  });
+  const int c2 = pick_partner(
+      cands_->neighbors(c1), rng,
+      [&](int v) {
+        const Solution::Visit& at = base.visit(v);
+        const int r2 = std::max(at.route, 0);
+        const double d2 = demand[v];
+        const bool fits = !(load1 - d1 + d2 > cap) &
+                          !(base.route_stats(r2).load - d2 + d1 > cap);
+        return (at.route >= 0) & (at.route != r1) & fits & edge_ok(p1, v) &
+               edge_ok(v, s1) & edge_ok(at.pred, c1) & edge_ok(c1, at.succ);
+      },
+      kAnyPartner);
   if (c2 < 0) return std::nullopt;
-  return Move{MoveType::Exchange, r1, base.route_of(c2), i,
+  return Move{MoveType::Exchange, r1, base.route_of(c2), anchor.position,
               base.position_of(c2)};
 }
 
@@ -807,24 +853,31 @@ std::optional<Move> MoveEngine::propose_two_opt_pruned(const Solution& base,
   const int n = inst_->num_customers();
   if (n < 2) return std::nullopt;
   const int c1 = 1 + static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
-  const int r = base.route_of(c1);
+  const Solution::Visit& anchor = base.visit(c1);
+  const int r = anchor.route;
   if (r < 0) return std::nullopt;
-  const auto& route = base.route(r);
-  const int pc = base.position_of(c1);
+  const int pc = anchor.position;
   // Reversing [lo+1, hi] creates the junctions (route[lo], route[hi]) and
   // (route[lo+1], route[hi+1]) — the anchor/partner pair plus the rejoin;
-  // adjacent positions would be a no-op reversal.
-  const int c2 = walk_neighbors(cands_->neighbors(c1), rng, [&](int v) {
-    if (base.route_of(v) != r) return false;
-    const int pv = base.position_of(v);
-    const int lo = std::min(pc, pv);
-    const int hi = std::max(pc, pv);
-    if (hi - lo < 2) return false;
-    return edge_ok(route[static_cast<std::size_t>(lo)],
-                   route[static_cast<std::size_t>(hi)]) &&
-           edge_ok(route[static_cast<std::size_t>(lo + 1)],
-                   at_or_depot(route, hi + 1));
-  });
+  // adjacent positions would be a no-op reversal.  route[lo + 1] and
+  // route[hi + 1] are the successors of route[lo] and route[hi].  Few
+  // candidates share the anchor's route, so the mask holds only the route
+  // and gap tests and the junctions are tested second, in walk order.
+  const int c2 = pick_partner(
+      cands_->neighbors(c1), rng,
+      [&](int v) {
+        const Solution::Visit& at = base.visit(v);
+        return (at.route == r) & (std::abs(at.position - pc) >= 2);
+      },
+      [&](int v) {
+        const Solution::Visit& at = base.visit(v);
+        const bool forward = pc < at.position;
+        const int lo = forward ? c1 : v;
+        const int hi = forward ? v : c1;
+        const int lo_next = forward ? anchor.succ : at.succ;
+        const int hi_next = forward ? at.succ : anchor.succ;
+        return edge_ok(lo, hi) && edge_ok(lo_next, hi_next);
+      });
   if (c2 < 0) return std::nullopt;
   const int lo = std::min(pc, base.position_of(c2));
   const int hi = std::max(pc, base.position_of(c2));
@@ -836,29 +889,34 @@ std::optional<Move> MoveEngine::propose_two_opt_star_pruned(
   const int n = inst_->num_customers();
   if (n < 2) return std::nullopt;
   const int c1 = 1 + static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
-  const int r1 = base.route_of(c1);
+  const Solution::Visit& anchor = base.visit(c1);
+  const int r1 = anchor.route;
   if (r1 < 0) return std::nullopt;
-  const auto& route1 = base.route(r1);
-  const int pc = base.position_of(c1);
+  const int pc = anchor.position;
   const double cap = inst_->capacity();
   const double load1 = base.route_stats(r1).load;
   // Cut after c1 and before u: the crossed tails create the junction
   // (c1, u) plus the mirror junction (pred(u), succ(c1)).  The prefix-load
-  // checks mirror locally_feasible bitwise (same cum_load cache reads).
+  // checks mirror locally_feasible bitwise (same cum_load cache reads);
+  // they run second, in walk order, on the slots whose junctions pass.
   const double prefix1 = base.route_cache(r1).cum_load(pc);
-  const int head1 = at_or_depot(route1, pc + 1);
-  const int u = walk_neighbors(cands_->neighbors(c1), rng, [&](int v) {
-    const int r2 = base.route_of(v);
-    if (r2 < 0 || r2 == r1) return false;
-    const int pv = base.position_of(v);
-    const double prefix2 =
-        pv > 0 ? base.route_cache(r2).cum_load(pv - 1) : 0.0;
-    const double load2 = base.route_stats(r2).load;
-    if (prefix1 + (load2 - prefix2) > cap) return false;
-    if (prefix2 + (load1 - prefix1) > cap) return false;
-    return edge_ok(c1, v) &&
-           edge_ok(at_or_depot(base.route(r2), pv - 1), head1);
-  });
+  const int head1 = anchor.succ;
+  const int u = pick_partner(
+      cands_->neighbors(c1), rng,
+      [&](int v) {
+        const Solution::Visit& at = base.visit(v);
+        return (at.route >= 0) & (at.route != r1) & edge_ok(c1, v) &
+               edge_ok(at.pred, head1);
+      },
+      [&](int v) {
+        const Solution::Visit& at = base.visit(v);
+        const int pv = at.position;
+        const double prefix2 =
+            pv > 0 ? base.route_cache(at.route).cum_load(pv - 1) : 0.0;
+        const double load2 = base.route_stats(at.route).load;
+        return !(prefix1 + (load2 - prefix2) > cap) &&
+               !(prefix2 + (load1 - prefix1) > cap);
+      });
   if (u < 0) return std::nullopt;
   // i >= 1 and j < n2 rule out both forbidden cut pairs.
   return Move{MoveType::TwoOptStar, r1, base.route_of(u), pc + 1,
@@ -870,35 +928,38 @@ std::optional<Move> MoveEngine::propose_or_opt_pruned(const Solution& base,
   const int n = inst_->num_customers();
   if (n < 3) return std::nullopt;
   const int c = 1 + static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
-  const int r = base.route_of(c);
+  const Solution::Visit& anchor = base.visit(c);
+  const int r = anchor.route;
   if (r < 0) return std::nullopt;
   const auto& route = base.route(r);
   const int len = static_cast<int>(route.size());
   if (len < 3) return std::nullopt;
-  const int i = base.position_of(c);
+  const int i = anchor.position;
   if (i + 1 >= len) return std::nullopt;  // segment is [i, i+1]
   // Closing the gap the segment leaves is partner-independent: reject the
   // anchor before walking when that junction alone fails.
-  if (!edge_ok(at_or_depot(route, i - 1), at_or_depot(route, i + 2))) {
-    return std::nullopt;
-  }
-  const int seg_tail = route[static_cast<std::size_t>(i + 1)];
-  // Re-insert the segment directly after u, creating junction (u, c).
-  // j indexes the route with the segment removed.
+  if (!edge_ok(anchor.pred, at_or_depot(route, i + 2))) return std::nullopt;
+  const int seg_tail = anchor.succ;
+  // Re-insert the segment directly after u, creating junctions (u, c) and
+  // (seg_tail, succ(u)).  j indexes the route with the segment removed:
+  // j = pv + 1 before the gap, pv - 1 after it.  u must not be the segment
+  // itself, nor its predecessor (j == i would put the segment back), so
+  // positions i - 1, i and i + 1 are excluded; every other position of the
+  // route gives j <= len - 2, and u's successor in the segment-removed
+  // route is its successor in the route.
   const auto to_removed_j = [&](int pv) {
     return (pv > i + 1 ? pv - 2 : pv) + 1;
   };
-  const int u = walk_neighbors(cands_->neighbors(c), rng, [&](int v) {
-    if (base.route_of(v) != r) return false;
-    const int pv = base.position_of(v);
-    if (pv == i || pv == i + 1) return false;
-    const int j = to_removed_j(pv);
-    if (j == i || j > len - 2) return false;
-    // Successor of u in the segment-removed route (j >= i here, so the
-    // original index shifts past the excised pair).
-    const int succ = at_or_depot(route, j >= i ? j + 2 : j);
-    return edge_ok(v, c) && edge_ok(seg_tail, succ);
-  });
+  const int u = pick_partner(
+      cands_->neighbors(c), rng,
+      [&](int v) {
+        const Solution::Visit& at = base.visit(v);
+        const bool outside_segment =
+            static_cast<unsigned>(at.position - (i - 1)) > 2U;
+        return (at.route == r) & outside_segment & edge_ok(v, c) &
+               edge_ok(seg_tail, at.succ);
+      },
+      kAnyPartner);
   if (u < 0) return std::nullopt;
   return Move{MoveType::OrOpt, r, r, i, to_removed_j(base.position_of(u))};
 }

@@ -128,11 +128,10 @@ class MoveEngine {
                       std::vector<int>& out1, std::vector<int>& out2) const;
 
   /// True when traversing a -> b cannot locally violate b's window:
-  /// a_a + c_a + t_{a,b} <= b_b (indices may be 0 == depot).
+  /// a_a + c_a + t_{a,b} <= b_b (indices may be 0 == depot), read from
+  /// the instance's junction bitmap.
   bool edge_ok(int a, int b) const noexcept {
-    const Site& sa = inst_->site(a);
-    const Site& sb = inst_->site(b);
-    return sa.ready + sa.service + inst_->distance(a, b) <= sb.due;
+    return inst_->junction_ok(a, b);
   }
 
   std::optional<Move> propose_relocate(const Solution& base, Rng& rng) const;
@@ -142,8 +141,8 @@ class MoveEngine {
                                            Rng& rng) const;
   std::optional<Move> propose_or_opt(const Solution& base, Rng& rng) const;
 
-  /// Pruned variants: anchor on a uniform customer, then map the partner
-  /// endpoint through its candidate list (DESIGN.md §11).
+  /// Pruned variants: anchor on a uniform customer, then take the partner
+  /// from its candidate list by one mask pass over the row (DESIGN.md §11).
   std::optional<Move> propose_relocate_pruned(const Solution& base,
                                               Rng& rng) const;
   std::optional<Move> propose_exchange_pruned(const Solution& base,
@@ -155,7 +154,6 @@ class MoveEngine {
   std::optional<Move> propose_or_opt_pruned(const Solution& base,
                                             Rng& rng) const;
 
-  /// Uniform draw from c's candidate list, or -1 when the list is empty.
   const Instance* inst_;
   const CandidateList* cands_ = nullptr;
   mutable std::vector<int> scratch1_;

@@ -5,7 +5,9 @@
 // sampling mode (MoveEngine / NeighborhoodGenerator, candidate_k > 0) draws
 // move endpoints from these lists instead of uniformly, so the vast
 // majority of hopeless long-distance moves are never proposed — and never
-// priced.
+// priced.  A sampler tests its anchor's whole row in one mask pass, 64
+// slots a word, and k has no upper bound: rows longer than 64 are walked a
+// word at a time.
 //
 // A pair (i, j) is kept when it is time-window *reachable in at least one
 // direction*: serving j directly after i can start within j's window under
@@ -35,7 +37,9 @@ namespace tsmo {
 
 /// Directed time-window reachability of the junction edge from -> to:
 /// leaving `from` at its earliest possible departure still meets `to`'s
-/// due date.  Identical arithmetic to MoveEngine's local screen (edge_ok).
+/// due date.  The arithmetic oracle of the instance's junction bitmap:
+/// Instance::junction_ok(from, to), which the Local screen and the pruned
+/// samplers read, holds exactly this sum in this order.
 inline bool tw_reachable(const Instance& inst, int from, int to) noexcept {
   const Site& a = inst.site(from);
   return a.ready + a.service + inst.distance(from, to) <= inst.site(to).due;

@@ -5,9 +5,13 @@
 // Sites S = {0..N}: index 0 is the depot, customers are 1..N.  Travel costs
 // are Euclidean distances held in a dense matrix T.  The fleet is
 // homogeneous: every vehicle has capacity m; at most R vehicles exist.
+// Next to T the instance keeps the paper's local feasibility test for
+// every junction (§II.B) as an n×n bitmap, built in the same row-wise
+// pass that fills T.
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -84,6 +88,21 @@ class Instance {
     return dist_.row(static_cast<std::size_t>(i));
   }
 
+  /// The local feasibility test of the junction a -> b (§II.B): leaving a
+  /// at its earliest departure still reaches b by its due date,
+  /// a_a + c_a + t_{a,b} <= b_b (indices may be 0 == depot).  Read from a
+  /// bitmap the constructor fills, one 64-bit word per 64 sites of a row
+  /// (125 KB at 1000 customers, against 8 MB for T); each bit is that
+  /// sum, in that order, so it equals tw_reachable(a, b)
+  /// (candidate_list.hpp) exactly.  The Local screen and the pruned
+  /// samplers read junctions only from here.
+  bool junction_ok(int a, int b) const noexcept {
+    const std::uint64_t word =
+        junction_[static_cast<std::size_t>(a) * junction_words_ +
+                  (static_cast<std::size_t>(b) >> 6)];
+    return (word >> (static_cast<unsigned>(b) & 63U)) & 1U;
+  }
+
   /// Sum of all customer demands; a lower bound on fleet usage is
   /// ceil(total_demand / capacity).
   double total_demand() const noexcept { return total_demand_; }
@@ -105,9 +124,9 @@ class Instance {
   /// Planning horizon: the depot's due date.
   double horizon() const noexcept { return sites_[0].due; }
 
-  /// Checks instance plausibility (windows ordered, demands within
-  /// capacity, fleet can carry total demand); throws std::invalid_argument
-  /// with a diagnostic message on violation.
+  /// Checks instance plausibility (every number finite, windows ordered,
+  /// demands within capacity, fleet can carry total demand); throws
+  /// std::invalid_argument with a diagnostic message on violation.
   void validate() const;
 
  private:
@@ -117,6 +136,8 @@ class Instance {
   double capacity_ = 0.0;
   double total_demand_ = 0.0;
   FlatMatrix<double> dist_;
+  std::vector<std::uint64_t> junction_;  // row-major, junction_words_ a row
+  std::size_t junction_words_ = 0;
   SiteSoA soa_;
 };
 

@@ -11,8 +11,7 @@ Solution::Solution(const Instance& inst)
       routes_(static_cast<std::size_t>(inst.max_vehicles())),
       stats_(static_cast<std::size_t>(inst.max_vehicles())),
       caches_(static_cast<std::size_t>(inst.max_vehicles())),
-      customer_route_(static_cast<std::size_t>(inst.num_sites()), -1),
-      customer_pos_(static_cast<std::size_t>(inst.num_sites()), -1) {
+      visits_(static_cast<std::size_t>(inst.num_sites())) {
   evaluated_ = true;  // all-empty fleet trivially evaluates to zero
 }
 
@@ -110,15 +109,14 @@ void Solution::recompute_totals() {
 }
 
 void Solution::rebuild_index() {
-  std::fill(customer_route_.begin(), customer_route_.end(), -1);
-  std::fill(customer_pos_.begin(), customer_pos_.end(), -1);
+  std::fill(visits_.begin(), visits_.end(), Visit{});
   for (std::size_t r = 0; r < routes_.size(); ++r) {
     const auto& route = routes_[r];
-    for (std::size_t p = 0; p < route.size(); ++p) {
-      customer_route_[static_cast<std::size_t>(route[p])] =
-          static_cast<int>(r);
-      customer_pos_[static_cast<std::size_t>(route[p])] =
-          static_cast<int>(p);
+    const std::size_t len = route.size();
+    for (std::size_t p = 0; p < len; ++p) {
+      visits_[static_cast<std::size_t>(route[p])] =
+          Visit{static_cast<std::int32_t>(r), static_cast<std::int32_t>(p),
+                p > 0 ? route[p - 1] : 0, p + 1 < len ? route[p + 1] : 0};
     }
   }
 }

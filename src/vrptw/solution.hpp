@@ -127,17 +127,28 @@ class Solution {
   /// FNV-1a hash over the canonical permutation (route order preserved).
   std::uint64_t hash() const noexcept;
 
-  /// Index of the route containing customer c, or -1.  O(1) via the
-  /// customer->route index maintained alongside the routes.
-  int route_of(int customer) const noexcept {
-    return customer_route_[static_cast<std::size_t>(customer)];
+  /// Where customer c sits: its route and position, and its neighbours
+  /// on that route, with 0 (the depot) at either end.  An unrouted
+  /// customer reads route and position -1 and both neighbours 0.  One
+  /// 16-byte record per customer, rebuilt from the routes by evaluate();
+  /// after raw route mutation call evaluate() before relying on it.  The
+  /// pruned samplers read a partner's whole record with one load.
+  struct Visit {
+    std::int32_t route = -1;
+    std::int32_t position = -1;
+    std::int32_t pred = 0;
+    std::int32_t succ = 0;
+  };
+  const Visit& visit(int customer) const noexcept {
+    return visits_[static_cast<std::size_t>(customer)];
   }
 
-  /// Position of customer c within its route, or -1.  Kept consistent by
-  /// rebuild during evaluate(); after raw route mutation call evaluate()
-  /// before relying on it.
+  /// Index of the route containing customer c, or -1.
+  int route_of(int customer) const noexcept { return visit(customer).route; }
+
+  /// Position of customer c within its route, or -1.
   int position_of(int customer) const noexcept {
-    return customer_pos_[static_cast<std::size_t>(customer)];
+    return visit(customer).position;
   }
 
   /// Checks the structural invariant: every customer appears exactly once
@@ -161,8 +172,7 @@ class Solution {
   std::vector<double> active_tard_;
   std::vector<int> dirty_;
   bool evaluated_ = false;
-  std::vector<int> customer_route_;  // size N+1; [0] unused
-  std::vector<int> customer_pos_;
+  std::vector<Visit> visits_;  // size N+1; [0] unused
 };
 
 }  // namespace tsmo

@@ -230,12 +230,18 @@ std::string finished_status(JobService& svc, const std::string& body) {
   return out;
 }
 
-/// A Solomon body: `customers` rows after the depot, fleet `vehicles`.
-std::string solomon_body(int customers, const std::string& vehicles) {
+/// A Solomon body: `customers` rows after the depot, fleet `vehicles`,
+/// capacity 200; `last_row`, when given, replaces the last customer's row.
+std::string solomon_body(int customers, const std::string& vehicles,
+                         const std::string& last_row = "") {
   std::ostringstream text;
   text << "BIG\n\nVEHICLE\nNUMBER CAPACITY\n" << vehicles << " 200\n\n";
   text << "CUSTOMER\n0 50 50 0 0 1000 0\n";
   for (int i = 1; i <= customers; ++i) {
+    if (i == customers && !last_row.empty()) {
+      text << last_row << "\n";
+      continue;
+    }
     text << i << " " << i % 97 << " " << i % 89 << " 1 0 1000 1\n";
   }
   std::ostringstream os;
@@ -278,6 +284,14 @@ TEST(JobApi, OversizedInputsFailTheJobNamingTheField) {
                 "solomon: read_solomon: more than 1000 customers");
   expect_failed(solomon_body(10, "1e30"), "solomon: read_solomon: VEHICLE");
   expect_failed(solomon_body(10, "1001"), "solomon: read_solomon: VEHICLE");
+  // Numbers the parser reads but the engine must never see.
+  expect_failed(solomon_body(10, "25", "10 10 10 1 0 inf 1"),
+                "solomon: Instance: site 10 has a non-finite value");
+  expect_failed(solomon_body(10, "25", "10 nan 10 1 0 1000 1"),
+                "solomon: Instance: site 10 has a non-finite value");
+  expect_failed(solomon_body(10, "25", "10 10 10 201 0 1000 1"),
+                "solomon: Instance: customer 10 demand 201.00 exceeds "
+                "capacity 200.00");
 
   // The largest admitted inputs still run.
   std::string status = finished_status(

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "operators/move_engine.hpp"
 #include "test_support.hpp"
 
 namespace tsmo {
@@ -130,6 +134,35 @@ TEST(Solution, FeasibleRequiresZeroTardiness) {
   EXPECT_FALSE(s.feasible());
 }
 
+/// Every customer's Visit record agrees with the route vectors: route,
+/// position, and the neighbours with the depot (0) at both ends; unrouted
+/// customers read -1, -1, 0, 0.
+void expect_records_match_routes(const Solution& s, const std::string& what) {
+  const Instance& inst = s.instance();
+  std::vector<int> seen(static_cast<std::size_t>(inst.num_sites()), 0);
+  for (int r = 0; r < s.num_routes(); ++r) {
+    const auto& route = s.route(r);
+    const int len = static_cast<int>(route.size());
+    for (int p = 0; p < len; ++p) {
+      const int c = route[static_cast<std::size_t>(p)];
+      seen[static_cast<std::size_t>(c)] = 1;
+      EXPECT_EQ(s.route_of(c), r) << what << " customer " << c;
+      EXPECT_EQ(s.position_of(c), p) << what << " customer " << c;
+      EXPECT_EQ(s.visit(c).pred, p > 0 ? route[p - 1] : 0)
+          << what << " customer " << c;
+      EXPECT_EQ(s.visit(c).succ, p + 1 < len ? route[p + 1] : 0)
+          << what << " customer " << c;
+    }
+  }
+  for (int c = 1; c <= inst.num_customers(); ++c) {
+    if (seen[static_cast<std::size_t>(c)]) continue;
+    EXPECT_EQ(s.route_of(c), -1) << what << " customer " << c;
+    EXPECT_EQ(s.position_of(c), -1) << what << " customer " << c;
+    EXPECT_EQ(s.visit(c).pred, 0) << what << " customer " << c;
+    EXPECT_EQ(s.visit(c).succ, 0) << what << " customer " << c;
+  }
+}
+
 TEST(Solution, RouteOfAndPositionOf) {
   const Instance inst = testing::tiny_instance();
   const Solution s = Solution::from_routes(inst, {{1, 2}, {3, 4}});
@@ -138,6 +171,33 @@ TEST(Solution, RouteOfAndPositionOf) {
   EXPECT_EQ(s.position_of(1), 0);
   EXPECT_EQ(s.position_of(2), 1);
   EXPECT_EQ(s.position_of(4), 1);
+  EXPECT_EQ(s.visit(1).pred, 0);
+  EXPECT_EQ(s.visit(1).succ, 2);
+  EXPECT_EQ(s.visit(2).pred, 1);
+  EXPECT_EQ(s.visit(2).succ, 0);
+  expect_records_match_routes(s, "from_routes");
+  expect_records_match_routes(Solution::from_routes(inst, {{2}, {}, {4, 1}}),
+                              "partial");
+
+  // After apply of each move type (line customers 1..8, all windows open).
+  const Instance line = testing::line_instance(8);
+  const Solution base =
+      Solution::from_routes(line, {{1, 2, 3, 4}, {5, 6, 7}, {8}});
+  const MoveEngine engine(line);
+  const Move moves[] = {
+      {MoveType::Relocate, 0, 1, 1, 3},   // 2 to the end of route 1
+      {MoveType::Relocate, 2, 0, 0, 0},   // 8 to the front, route 2 empties
+      {MoveType::Exchange, 0, 2, 3, 0},   // 4 <-> 8
+      {MoveType::TwoOpt, 0, 0, 0, 3},     // reverse the whole route 0
+      {MoveType::TwoOptStar, 0, 1, 2, 1}, // cross tails
+      {MoveType::OrOpt, 0, 0, 0, 2},      // move (1, 2) behind 4
+  };
+  for (const Move& m : moves) {
+    ASSERT_TRUE(engine.applicable(base, m)) << to_string(m);
+    Solution moved = base;
+    engine.apply(moved, m);
+    expect_records_match_routes(moved, to_string(m));
+  }
 }
 
 TEST(Solution, ValidateDetectsDuplicatesAndMissing) {
