@@ -143,6 +143,7 @@ SearchState::StepOutcome SearchState::step_with_candidates(
   if (external_restart_.exchange(false, std::memory_order_relaxed)) {
     no_improvement_ = true;
   }
+  empty_steps_ = candidates.empty() ? empty_steps_ + 1 : 0;
   // Line 8: s <- Select(N, M_tabulist).  The non-dominated subset also
   // feeds the M_nondom update below.
   const std::vector<std::size_t> nd = nondominated_indices(candidates);

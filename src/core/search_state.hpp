@@ -116,14 +116,17 @@ class SearchState {
   /// External evaluation work (e.g. by workers on this searcher's behalf)
   /// is charged here so the budget check sees the global count.
   void charge_evaluations(std::int64_t n) noexcept { evaluations_ += n; }
-  /// True when the evaluation budget is spent *or* a cooperative stop was
-  /// requested — either the process-wide flag (solver_cli's SIGINT/SIGTERM
-  /// path) or this run's own stop flag (RunContext::stop, job-plane
-  /// cancellation): every engine loop keys off this check, so a stop
-  /// request drains exactly like budget exhaustion and results are still
-  /// collected and flushed.
+  /// True when the evaluation budget is spent, when the last
+  /// `restart_after` steps all had an empty candidate pool (no proposal
+  /// passes the screen, so the budget would never be spent), *or* a
+  /// cooperative stop was requested — either the process-wide flag
+  /// (solver_cli's SIGINT/SIGTERM path) or this run's own stop flag
+  /// (RunContext::stop, job-plane cancellation): every engine loop keys
+  /// off this check, so a stop request drains exactly like budget
+  /// exhaustion and results are still collected and flushed.
   bool budget_exhausted() const noexcept {
-    return evaluations_ >= params_.max_evaluations || stop_flag_raised();
+    return evaluations_ >= params_.max_evaluations ||
+           empty_steps_ >= params_.restart_after || stop_flag_raised();
   }
 
   /// True when either cooperative stop flag (process-wide or per-run) is
@@ -243,6 +246,7 @@ class SearchState {
   std::int64_t restarts_ = 0;
   std::int64_t evaluations_ = 0;
   std::int64_t last_improvement_ = 0;
+  int empty_steps_ = 0;  ///< consecutive steps on an empty pool
   bool no_improvement_ = false;
   std::array<std::int64_t, kNumMoveTypes> offered_{};
   std::array<std::int64_t, kNumMoveTypes> selected_{};

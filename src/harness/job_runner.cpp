@@ -209,12 +209,7 @@ obs::JobOutcome run_job_body(const std::string& body,
           s != nullptr && s->is_string()) {
         std::istringstream is(s->as_string());
         try {
-          // A body's numbers reach the engine only once validated (the
-          // generator validates what it builds itself).
-          Instance parsed =
-              read_solomon(is, {kMaxJobCustomers, kMaxJobVehicles});
-          parsed.validate();
-          return parsed;
+          return read_solomon(is, {kMaxJobCustomers, kMaxJobVehicles});
         } catch (const std::exception& e) {
           throw std::invalid_argument(std::string("solomon: ") + e.what());
         }

@@ -1,54 +1,37 @@
 #include "parallel/async_tsmo.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <vector>
 
-#include "core/sequential_tsmo.hpp"
 #include "util/profiler.hpp"
 #include "util/telemetry.hpp"
-#include "util/timer.hpp"
 
 namespace tsmo {
 
-namespace {
-
-/// Decision function c3: how long the master keeps waiting for worker
-/// results before it proceeds with the partial pool.
-constexpr double kWaitTooLongMs = 2.0;
-
-}  // namespace
-
-AsyncMaster::AsyncMaster(const Instance& inst, SearchState& state,
-                         int processors,
-                         std::shared_ptr<const CandidateList> cands)
+AsyncMaster::AsyncMaster(SearchState& state, int processors, Team& team)
     : state_(&state),
-      team_(inst, processors - 1, state.params().seed, std::move(cands)),
+      team_(&team),
       chunk_(std::max(1, state.params().neighborhood_size / processors)),
-      busy_(static_cast<std::size_t>(team_.num_workers()), false) {}
-
-void AsyncMaster::drain(std::optional<GenResult> result) {
-  while (result) {
-    busy_[static_cast<std::size_t>(result->worker_id)] = false;
-    inflight_ -= chunk_;
-    state_->charge_evaluations(
-        static_cast<std::int64_t>(result->candidates.size()));
-    pool_.insert(pool_.end(),
-                 std::make_move_iterator(result->candidates.begin()),
-                 std::make_move_iterator(result->candidates.end()));
-    result = team_.try_collect();
-  }
-}
+      busy_(static_cast<std::size_t>(team.num_workers()), false) {}
 
 std::optional<SearchState::StepOutcome> AsyncMaster::iterate() {
   SearchState& state = *state_;
   const std::int64_t budget = state.params().max_evaluations;
+  const Team::Take take = [&](GenResult& result) {
+    busy_[static_cast<std::size_t>(result.worker_id)] = false;
+    inflight_ -= chunk_;
+    state.charge_evaluations(
+        static_cast<std::int64_t>(result.candidates.size()));
+    pool_.insert(pool_.end(),
+                 std::make_move_iterator(result.candidates.begin()),
+                 std::make_move_iterator(result.candidates.end()));
+  };
   // Dispatch fresh chunks (on the current solution) to idle workers, as
   // long as the budget leaves room for the in-flight work.
-  for (int w = 0; w < team_.num_workers(); ++w) {
+  for (int w = 0; w < team_->num_workers(); ++w) {
     const std::int64_t headroom = budget - state.evaluations() - inflight_;
     if (busy_[static_cast<std::size_t>(w)] || headroom < chunk_) continue;
-    team_.submit(GenRequest{state.current(), chunk_, ++ticket_});
+    team_->dispatch(w, state.current(), chunk_);
     busy_[static_cast<std::size_t>(w)] = true;
     inflight_ += chunk_;
     TSMO_COUNT("async.chunks_dispatched");
@@ -59,31 +42,28 @@ std::optional<SearchState::StepOutcome> AsyncMaster::iterate() {
       std::min<std::int64_t>(chunk_, budget - state.evaluations()));
   if (master_chunk > 0) {
     std::vector<Candidate> mine = state.generate_candidates(master_chunk);
+    team_->master_generated(mine.size());
     pool_.insert(pool_.end(), std::make_move_iterator(mine.begin()),
                  std::make_move_iterator(mine.end()));
   }
-  drain(team_.try_collect());
+  team_->collect_arrived(take);
 
   // --- Algorithm 2: decide whether to keep waiting. ---
-  {
-    TSMO_SPAN_TIMED("async.wait", "async.wait_ns");
-    TSMO_PROFILE_FRAME("channel.wait");
-    const Timer wait_timer;
-    for (;;) {
-      const bool c1 =
-          std::any_of(busy_.begin(), busy_.end(), [](bool b) { return !b; });
-      const bool c2 =
-          std::any_of(pool_.begin(), pool_.end(), [&](const Candidate& c) {
-            return dominates(c.obj, state.current()->objectives());
-          });
-      const bool c3 = wait_timer.elapsed_ms() >= kWaitTooLongMs;
-      const bool c4 = state.budget_exhausted();
-      if (c1 || c2 || c3 || c4) break;
-      drain(team_.collect_for(std::chrono::microseconds(200)));
-    }
-  }
+  team_->wait(
+      [&] {
+        const bool c1 = std::any_of(busy_.begin(), busy_.end(),
+                                    [](bool b) { return !b; });
+        const bool c2 =
+            std::any_of(pool_.begin(), pool_.end(), [&](const Candidate& c) {
+              return dominates(c.obj, state.current()->objectives());
+            });
+        const bool c4 = state.budget_exhausted();
+        return (team_->use_c1() && c1) || (team_->use_c2() && c2) || c4;
+      },
+      take);
 
   if (pool_.empty() && state.budget_exhausted()) return std::nullopt;
+  team_->selecting(pool_);
   const SearchState::StepOutcome outcome = state.step_with_candidates(pool_);
   // The considered pool is consumed; results still in flight will join
   // the pool of the iteration in which they arrive.
@@ -91,51 +71,15 @@ std::optional<SearchState::StepOutcome> AsyncMaster::iterate() {
   return outcome;
 }
 
-RunResult AsyncTsmo::run() const {
-  if (options_.deterministic) return run_deterministic();
-  const int procs = std::max(2, processors_);
-  RunScope scope("run.async", params_, ctx_, 1, procs - 1);
-  TSMO_TELEMETRY_ONLY(
-      if (telemetry::enabled()) {
-        telemetry::Registry::instance().set_thread_label("async master");
-      })
-  Timer timer;
-  const auto cands = make_candidate_list(*inst_, params_.candidate_k);
-  SearchState state(*inst_, params_, Rng(params_.seed), cands);
-  AsyncMaster master(*inst_, state, procs, cands);
-  if (ctx_.recorder) {
-    master.team().enable_heartbeats(*ctx_.recorder, "async worker");
-  }
-  scope.attach(state);
-  scope.restart_on_stall(state);
-  state.initialize();
-  while (!state.budget_exhausted()) {
-    if (!master.iterate()) break;
-  }
-  // Clears the stall action: the watchdog can no longer touch `state`.
-  scope.finish(state.iterations());
-  return collect_result(state, "async", timer.elapsed_seconds());
-}
+namespace {
 
-RunResult AsyncTsmo::run_deterministic() const {
-  const int procs = std::max(2, processors_);
-  const int exec =
-      options_.exec_threads > 0 ? options_.exec_threads : procs - 1;
-  RunScope scope("run.async", params_, ctx_, 1, exec);
-  TSMO_TELEMETRY_ONLY(
-      if (telemetry::enabled()) {
-        telemetry::Registry::instance().set_thread_label("async master");
-      })
-  Timer timer;
-  const auto cands = make_candidate_list(*inst_, params_.candidate_k);
-  SearchState state(*inst_, params_, Rng(params_.seed), cands);
-  WorkerTeam team(*inst_, exec, params_.seed, cands);
-  if (ctx_.recorder) team.enable_heartbeats(*ctx_.recorder, "async worker");
-  scope.attach(state);
-  state.initialize();
-  Rng schedule(params_.seed ^ 0xa57c5eedULL);
-
-  const int chunk = std::max(1, params_.neighborhood_size / procs);
+/// Deterministic mode's iterations (see AsyncTsmo::run) on `team`, whose
+/// width never changes the result.
+void run_straggler_schedule(SearchState& state, int procs,
+                            WorkerTeam& team) {
+  const TsmoParams& params = state.params();
+  Rng schedule(params.seed ^ 0xa57c5eedULL);
+  const int chunk = std::max(1, params.neighborhood_size / procs);
   std::vector<Candidate> deferred;  // straggler chunks, one iteration late
   std::uint64_t ticket = 0;
   std::vector<GenResult> results;
@@ -143,7 +87,7 @@ RunResult AsyncTsmo::run_deterministic() const {
   while (!state.budget_exhausted()) {
     // Dispatch the full chunk set within the remaining budget (deferred
     // candidates are already charged, so headroom needs no inflight term).
-    std::int64_t headroom = params_.max_evaluations - state.evaluations();
+    std::int64_t headroom = params.max_evaluations - state.evaluations();
     std::int64_t total =
         std::min<std::int64_t>(static_cast<std::int64_t>(procs) * chunk,
                                headroom);
@@ -195,8 +139,19 @@ RunResult AsyncTsmo::run_deterministic() const {
   }
   // Chunks still deferred at exhaustion are dropped, like in-flight
   // results at termination of the wall-clock mode.
-  scope.finish(state.iterations());
-  return collect_result(state, "async", timer.elapsed_seconds());
+}
+
+}  // namespace
+
+RunResult AsyncTsmo::run() const {
+  const bool det = options_.deterministic;
+  return run_master("run.async", !det, [&](SearchState& state,
+                                          WorkerTeam& team) {
+    if (det) return run_straggler_schedule(state, procs_, team);
+    AsyncMaster master(state, procs_, team);
+    while (!state.budget_exhausted() && master.iterate()) {
+    }
+  });
 }
 
 }  // namespace tsmo

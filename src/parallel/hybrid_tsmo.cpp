@@ -20,13 +20,14 @@ class AsyncIsland final : public Peer {
               int islands, int procs,
               std::shared_ptr<const CandidateList> cands)
       : Peer(inst, base, id, islands, HybridExchange::salt, cands),
-        master_(inst, state, procs, std::move(cands)) {}
-
-  WorkerTeam& team() noexcept { return master_.team(); }
+        team(inst, procs - 1, state.params().seed, std::move(cands)),
+        master_(state, procs, team) {}
 
   std::optional<SearchState::StepOutcome> iterate() override {
     return master_.iterate();
   }
+
+  WorkerTeam team;
 
  private:
   AsyncMaster master_;
@@ -98,6 +99,7 @@ MultisearchResult HybridTsmo::run() const {
   // candidate_k is never perturbed, so every island shares one list.
   const auto cands = make_candidate_list(*inst_, params_.candidate_k);
   if (options_.deterministic) {
+    // One thread per island unless exec_threads says otherwise.
     const int exec = options_.exec_threads > 0 ? options_.exec_threads : k;
     return run_lockstep<HybridExchange>(k, exec, timer, scope, [&](int id) {
       return std::make_unique<InlineAsyncIsland>(*inst_, params_, id, k,
@@ -108,7 +110,7 @@ MultisearchResult HybridTsmo::run() const {
     auto island = std::make_unique<AsyncIsland>(*inst_, params_, id, k,
                                                 procs, cands);
     if (ctx_.recorder) {
-      island->team().enable_heartbeats(
+      island->team.enable_heartbeats(
           *ctx_.recorder, "island " + std::to_string(id) + " worker");
     }
     scope.restart_on_stall(island->state, id);

@@ -7,36 +7,30 @@
 //
 // Topology: `islands` master threads, each driving `procs_per_island - 1`
 // generation workers (total processors = islands * procs_per_island).
-// A free-running island drives an AsyncMaster.  Every island collaborates
-// by the §III.E rule (Collaborator, parallel/collaboration.hpp): it owns a
-// full evaluation budget, perturbs its parameters (island 0 keeps the
-// base), and after its initial phase sends archive improvements to one
-// peer island at a time through a rotating communication list.
+// A free-running island drives an AsyncMaster over its own WorkerTeam,
+// as each run_sim_hybrid island drives one over the DES's virtual-clock
+// team.  Every island collaborates by the §III.E rule (Collaborator,
+// parallel/collaboration.hpp): it owns a full evaluation budget, perturbs
+// its parameters (island 0 keeps the base), and after its initial phase
+// sends archive improvements to one peer island at a time through a
+// rotating communication list.
 
 #include "core/run_context.hpp"
 #include "core/run_result.hpp"
 #include "core/search_state.hpp"
 #include "parallel/multisearch_tsmo.hpp"
+#include "parallel/options.hpp"
 
 namespace tsmo {
-
-struct HybridOptions {
-  /// Deterministic replay mode (DESIGN.md §7): islands advance in
-  /// lock-step rounds (messages sent in round r arrive in round r+1,
-  /// sender-ordered) and each island runs the deterministic async chunk
-  /// schedule — seeded chunk RNGs plus the seeded straggler model
-  /// (kDeferProbability) — with the chunks evaluated inline on the
-  /// island's thread.  The same seed fingerprints identically for any
-  /// `exec_threads`.
-  bool deterministic = false;
-  /// Threads executing island rounds; 0 selects one per island.
-  /// Execution width only — never affects the result.
-  int exec_threads = 0;
-};
 
 class HybridTsmo {
  public:
   /// The free-running mode honors ctx.stall_restart for every island.
+  /// Deterministic mode advances the islands in lock-step rounds
+  /// (messages sent in round r arrive in round r+1, sender-ordered); each
+  /// island runs the deterministic async chunk schedule — seeded chunk
+  /// RNGs plus the seeded straggler model (kDeferProbability) — with the
+  /// chunks evaluated inline on the island's thread.
   HybridTsmo(const Instance& inst, const TsmoParams& params, int islands,
              int procs_per_island, HybridOptions options = {},
              RunContext ctx = {})

@@ -70,6 +70,7 @@ MultisearchResult MultisearchTsmo::run() const {
   if (!options_.deterministic) {
     return run_islands<CollExchange>(procs, timer, scope, make);
   }
+  // One thread per searcher unless exec_threads says otherwise.
   const int exec = options_.exec_threads > 0 ? options_.exec_threads : procs;
   return run_lockstep<CollExchange>(procs, exec, timer, scope, make);
 }

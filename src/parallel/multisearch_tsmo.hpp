@@ -25,6 +25,7 @@
 #include "core/run_context.hpp"
 #include "core/run_result.hpp"
 #include "core/search_state.hpp"
+#include "parallel/options.hpp"
 
 namespace tsmo {
 
@@ -35,21 +36,11 @@ struct MultisearchResult {
   std::int64_t messages_accepted = 0;  ///< stored in a receiver's M_nondom
 };
 
-struct MultisearchOptions {
-  /// Deterministic replay mode (DESIGN.md §7): the searchers advance in
-  /// lock-step rounds; solutions sent in round r are delivered at the
-  /// start of round r+1, routed in sender-id order.  Each round's
-  /// per-searcher iterations touch only that searcher's state, so they
-  /// can execute on any number of threads without changing the result —
-  /// the same seed fingerprints identically for any `exec_threads`.
-  bool deterministic = false;
-  /// Threads executing the lock-step rounds; 0 selects one per searcher.
-  /// Execution width only — never affects the result.
-  int exec_threads = 0;
-};
-
 class MultisearchTsmo {
  public:
+  /// Deterministic mode advances the searchers in lock-step rounds;
+  /// solutions sent in round r are delivered at the start of round r+1,
+  /// routed in sender-id order.
   MultisearchTsmo(const Instance& inst, const TsmoParams& params,
                   int processors, MultisearchOptions options = {},
                   RunContext ctx = {})

@@ -13,46 +13,26 @@
 // "the behavior of the synchronous algorithm does not differ from the
 // sequential one" and no significant quality difference.
 
-#include "core/run_context.hpp"
-#include "core/run_result.hpp"
-#include "core/search_state.hpp"
+#include "parallel/worker_team.hpp"
 
 namespace tsmo {
 
-struct SyncOptions {
-  /// Deterministic replay mode (DESIGN.md §7): the neighborhood is split
-  /// into a fixed `processors`-way logical partition whose chunks carry
-  /// schedule-derived RNG seeds, and results are reassembled in ticket
-  /// order.  The run is then a pure function of (params, processors) —
-  /// the same seed fingerprints identically for any `exec_threads`.
-  bool deterministic = false;
-  /// Worker threads evaluating the logical chunks in deterministic mode;
-  /// 0 selects `processors - 1`.  Execution width only — never affects
-  /// the result.
-  int exec_threads = 0;
-};
+/// One synchronous round (§III.C) on `team`'s clock: a neighborhood of
+/// `neighborhood` candidates, capped by the budget left, is split among
+/// the master and its workers, and the master selects once every
+/// worker's chunk is back.  False when the budget leaves no room.
+/// SyncTsmo's free-running mode and the DES's sim-sync run it.
+bool sync_round(SearchState& state, int neighborhood, int processors,
+                Team& team);
 
-class SyncTsmo {
+class SyncTsmo : public MasterWorkerTsmo {
  public:
-  /// `processors` counts the master plus its workers (paper: 3, 6, 12).
-  SyncTsmo(const Instance& inst, const TsmoParams& params, int processors,
-           SyncOptions options = {}, RunContext ctx = {})
-      : inst_(&inst),
-        params_(params),
-        processors_(processors),
-        options_(options),
-        ctx_(ctx) {}
+  using MasterWorkerTsmo::MasterWorkerTsmo;
 
+  /// Deterministic mode splits the neighborhood into a fixed balanced
+  /// `processors`-way partition whose chunks carry schedule-derived RNG
+  /// seeds, and reassembles the results in ticket order.
   RunResult run() const;
-
- private:
-  RunResult run_deterministic() const;
-
-  const Instance* inst_;
-  TsmoParams params_;
-  int processors_;
-  SyncOptions options_;
-  RunContext ctx_;
 };
 
 }  // namespace tsmo

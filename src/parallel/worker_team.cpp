@@ -1,8 +1,10 @@
 #include "parallel/worker_team.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <string>
 
+#include "core/sequential_tsmo.hpp"
 #include "moo/anytime.hpp"
 #include "operators/neighborhood.hpp"
 #include "util/profiler.hpp"
@@ -10,6 +12,14 @@
 #include "util/timer.hpp"
 
 namespace tsmo {
+
+namespace {
+
+/// Decision function c3: how long the master keeps waiting for worker
+/// results before it proceeds with the partial pool.
+constexpr double kWaitTooLongMs = 2.0;
+
+}  // namespace
 
 WorkerTeam::WorkerTeam(const Instance& inst, int num_workers,
                        std::uint64_t seed,
@@ -45,6 +55,63 @@ void WorkerTeam::enable_heartbeats(ConvergenceRecorder& recorder,
         recorder.register_worker(prefix + " " + std::to_string(i)));
   }
   recorder_.store(&recorder, std::memory_order_release);
+}
+
+void WorkerTeam::dispatch(int /*worker*/, std::shared_ptr<const Solution> base,
+                          int count) {
+  submit(GenRequest{std::move(base), count});
+}
+
+void WorkerTeam::collect_arrived(const Take& take) {
+  while (auto result = try_collect()) take(*result);
+}
+
+void WorkerTeam::wait(const std::function<bool()>& decided,
+                      const Take& take) {
+  TSMO_SPAN_TIMED("async.wait", "async.wait_ns");
+  TSMO_PROFILE_FRAME("channel.wait");
+  const Timer wait_timer;
+  while (!decided() && wait_timer.elapsed_ms() < kWaitTooLongMs) {
+    if (auto result = collect_for(std::chrono::microseconds(200))) {
+      take(*result);
+      collect_arrived(take);
+    }
+  }
+}
+
+void WorkerTeam::barrier(int chunks, const Take& take) {
+  TSMO_SPAN_TIMED("sync.barrier", "sync.barrier_wait_ns");
+  TSMO_PROFILE_FRAME("channel.wait");
+  for (int c = 0; c < chunks; ++c) {
+    auto result = collect();
+    if (!result) break;  // team shut down (cannot happen mid-run)
+    take(*result);
+  }
+}
+
+RunResult MasterWorkerTsmo::run_master(
+    const char* span, bool stall_restart,
+    const std::function<void(SearchState&, WorkerTeam&)>& search) const {
+  const std::string engine = span + 4;  // the name after "run."
+  const int workers = options_.deterministic && options_.exec_threads > 0
+                          ? options_.exec_threads
+                          : procs_ - 1;
+  RunScope scope(span, params_, ctx_, 1, workers);
+  TSMO_TELEMETRY_ONLY(if (telemetry::enabled()) {
+    telemetry::Registry::instance().set_thread_label(engine + " master");
+  })
+  Timer timer;
+  const auto cands = make_candidate_list(*inst_, params_.candidate_k);
+  SearchState state(*inst_, params_, Rng(params_.seed), cands);
+  WorkerTeam team(*inst_, workers, params_.seed, cands);
+  if (ctx_.recorder) team.enable_heartbeats(*ctx_.recorder, engine + " worker");
+  scope.attach(state);
+  if (stall_restart) scope.restart_on_stall(state);
+  state.initialize();
+  search(state, team);
+  // Clears the stall action: the watchdog can no longer touch `state`.
+  scope.finish(state.iterations());
+  return collect_result(state, engine, timer.elapsed_seconds());
 }
 
 void WorkerTeam::worker_loop(int id, Rng rng) {

@@ -6,16 +6,29 @@
 // independent RNG stream.  The master hands out GenRequests; workers push
 // back GenResults.  Bases travel as shared_ptr<const Solution>, which is
 // safe to read concurrently.
+//
+// Team is what the two masters — sync_round (§III.C) and AsyncMaster
+// (§III.D, Algorithm 2) — see of their workers and of the clock they wait
+// on.  WorkerTeam is the team on the wall clock; the DES's team runs
+// simulated workers on a virtual clock (src/sim), so both clocks run the
+// same masters.  MasterWorkerTsmo is the set-up SyncTsmo and AsyncTsmo
+// share around their master.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/candidate.hpp"
+#include "core/run_context.hpp"
+#include "core/run_result.hpp"
+#include "core/search_state.hpp"
 #include "parallel/channel.hpp"
+#include "parallel/options.hpp"
 #include "util/telemetry.hpp"
 #include "vrptw/candidate_list.hpp"
 #include "vrptw/instance.hpp"
@@ -42,7 +55,42 @@ struct GenResult {
   int worker_id = -1;
 };
 
-class WorkerTeam {
+class Team {
+ public:
+  /// Receives one finished chunk.
+  using Take = std::function<void(GenResult&)>;
+
+  Team() = default;
+  Team(const Team&) = delete;
+  Team& operator=(const Team&) = delete;
+  virtual ~Team() = default;
+
+  virtual int num_workers() const noexcept = 0;
+  /// Hands worker `worker` a chunk of `count` neighbors of `base`.
+  virtual void dispatch(int worker, std::shared_ptr<const Solution> base,
+                        int count) = 0;
+  /// The master generated `count` candidates of its own share.
+  virtual void master_generated(std::size_t /*count*/) {}
+  /// Passes every chunk that has arrived to `take`, without waiting.
+  virtual void collect_arrived(const Take& take) = 0;
+  /// Algorithm 2's wait: passes arriving chunks to `take` until
+  /// `decided()` holds or the master has waited too long (c3); the DES
+  /// also stops when nothing is left in flight.
+  virtual void wait(const std::function<bool()>& decided,
+                    const Take& take) = 0;
+  /// The synchronous barrier: passes all `chunks` outstanding chunks to
+  /// `take`.
+  virtual void barrier(int chunks, const Take& take) = 0;
+  /// The master is about to select from `pool`.
+  virtual void selecting(const std::vector<Candidate>& /*pool*/) {}
+  /// Whether Algorithm 2 continues on c1 (an idle worker) and on c2 (a
+  /// candidate dominating the current solution); only the DES's ablation
+  /// switches one off.
+  virtual bool use_c1() const noexcept { return true; }
+  virtual bool use_c2() const noexcept { return true; }
+};
+
+class WorkerTeam final : public Team {
  public:
   /// Spawns `num_workers` threads; RNG streams are derived from `seed` by
   /// repeated jumps, so results are deterministic per (seed, num_workers)
@@ -58,7 +106,7 @@ class WorkerTeam {
   WorkerTeam(const WorkerTeam&) = delete;
   WorkerTeam& operator=(const WorkerTeam&) = delete;
 
-  int num_workers() const noexcept {
+  int num_workers() const noexcept override {
     return static_cast<int>(threads_.size());
   }
 
@@ -87,6 +135,14 @@ class WorkerTeam {
   /// outstanding; otherwise it would block until destruction).
   std::optional<GenResult> collect() { return results_.pop(); }
 
+  /// Any idle worker takes the chunk; results name the worker that ran it.
+  void dispatch(int worker, std::shared_ptr<const Solution> base,
+                int count) override;
+  void collect_arrived(const Take& take) override;
+  /// c3 fires after 2 ms; the wait polls in 200 µs slices.
+  void wait(const std::function<bool()>& decided, const Take& take) override;
+  void barrier(int chunks, const Take& take) override;
+
  private:
   void worker_loop(int id, Rng rng);
 
@@ -103,6 +159,37 @@ class WorkerTeam {
   std::atomic<ConvergenceRecorder*> recorder_{nullptr};
   std::vector<int> heartbeat_slots_;
   std::vector<std::thread> threads_;
+};
+
+/// What SyncTsmo and AsyncTsmo share: their inputs and one set-up for
+/// both modes of each.
+class MasterWorkerTsmo {
+ public:
+  /// `processors` counts the master plus its workers (paper: 3, 6, 12).
+  MasterWorkerTsmo(const Instance& inst, const TsmoParams& params,
+                   int processors, ParallelOptions options = {},
+                   RunContext ctx = {})
+      : inst_(&inst),
+        params_(params),
+        procs_(std::max(2, processors)),
+        options_(options),
+        ctx_(ctx) {}
+
+ protected:
+  /// Sets up the `span` ("run.<engine>") scope, the candidate list, the
+  /// master's state and a WorkerTeam of procs - 1 workers — deterministic
+  /// mode's exec_threads instead, when set — with heartbeats on the
+  /// recorder, then runs `search` on them.  With `stall_restart` the
+  /// watchdog may restart the master (ctx.stall_restart).
+  RunResult run_master(
+      const char* span, bool stall_restart,
+      const std::function<void(SearchState&, WorkerTeam&)>& search) const;
+
+  const Instance* inst_;
+  TsmoParams params_;
+  int procs_;
+  ParallelOptions options_;
+  RunContext ctx_;
 };
 
 }  // namespace tsmo

@@ -1,13 +1,14 @@
 #include "sim/sim_tsmo.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <memory>
 #include <string>
 
 #include "core/sequential_tsmo.hpp"
+#include "parallel/async_tsmo.hpp"
 #include "parallel/collaboration.hpp"
+#include "parallel/sync_tsmo.hpp"
 #include "sim/des.hpp"
 #include "util/telemetry.hpp"
 
@@ -17,384 +18,263 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// One simulated generation worker: its own engine and RNG stream, an
-/// absolute completion time, and the (already computed) result that
-/// becomes visible to the master at that time.
-class SimWorker {
- public:
-  SimWorker(const Instance& inst, int id, Rng rng,
-            std::shared_ptr<const CandidateList> cands = nullptr)
-      : engine_(std::make_unique<MoveEngine>(inst)),
-        cands_(std::move(cands)),
-        rng_(rng),
-        id_(id) {
-    if (cands_) engine_->set_candidate_list(cands_.get());
-  }
-
-  bool busy() const noexcept { return busy_; }
-  double done_time() const noexcept { return done_time_; }
-
-  /// Dispatches a chunk at virtual time `start`; the candidates are
-  /// computed now (against the base as of dispatch) but hidden until
-  /// done_time().
-  void dispatch(std::shared_ptr<const Solution> base, int count,
-                double start, const CostModel& cost, Rng& noise_rng) {
-    NeighborhoodGenerator generator(*engine_);
-    result_ = make_candidates(generator, std::move(base), count, rng_);
-    for (Candidate& c : result_) c.origin = static_cast<std::int16_t>(id_);
-    const double work = static_cast<double>(result_.size()) * cost.eval_us *
-                        cost.straggler_noise(noise_rng);
-    done_time_ = start + cost.msg_us + work;
-    busy_us_ += cost.msg_us + work;
-    busy_ = true;
-  }
-
-  /// Collects the finished result (caller must check done_time <= now).
-  std::vector<Candidate> collect() {
-    busy_ = false;
-    return std::move(result_);
-  }
-
-  /// Virtual µs this worker spent receiving + generating so far.
-  double busy_us() const noexcept { return busy_us_; }
-
- private:
-  std::unique_ptr<MoveEngine> engine_;
-  std::shared_ptr<const CandidateList> cands_;
-  Rng rng_;
-  std::vector<Candidate> result_;
-  double done_time_ = kInf;
-  double busy_us_ = 0.0;
-  bool busy_ = false;
-  int id_ = -1;
-};
-
-/// Exports the virtual utilization of simulated workers as the same
-/// `worker.<id>.busy_ns` / `.idle_ns` gauges the real WorkerTeam maintains,
-/// so table benches (which run on the DES substrate) report per-worker
-/// utilization too.  Virtual µs are scaled to ns; idle = total − busy.
-void export_sim_worker_gauges(const std::vector<SimWorker>& workers,
-                              double total_us) {
-#if TSMO_TELEMETRY_ENABLED
-  if (!telemetry::enabled()) return;
-  auto& reg = telemetry::Registry::instance();
-  for (std::size_t i = 0; i < workers.size(); ++i) {
-    const double busy_us = workers[i].busy_us();
-    const double idle_us = std::max(0.0, total_us - busy_us);
-    const std::string prefix = "worker." + std::to_string(i);
-    reg.gauge_add(reg.gauge(prefix + ".busy_ns"),
-                  static_cast<std::int64_t>(busy_us * 1e3));
-    reg.gauge_add(reg.gauge(prefix + ".idle_ns"),
-                  static_cast<std::int64_t>(idle_us * 1e3));
-  }
-#else
-  (void)workers;
-  (void)total_us;
-#endif
-}
-
 double selection_cost(std::size_t pool_size, const CostModel& cost) {
   return static_cast<double>(pool_size) * cost.sel_per_cand_us +
          cost.iter_overhead_us;
 }
 
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// Sequential (virtual Ts baseline)
-// ---------------------------------------------------------------------------
-
-RunResult run_sim_sequential(const Instance& inst, const TsmoParams& params,
-                             const CostModel& cost, const RunContext& ctx) {
-  RunScope scope("run.sim-sequential", params, ctx, 1, 0);
-  SearchState state(inst, params, Rng(params.seed));
-  scope.attach(state);
-  state.initialize();
-  double t = cost.eval_us;  // initial construction
-  while (!state.budget_exhausted()) {
-    const std::int64_t remaining =
-        params.max_evaluations - state.evaluations();
-    const int want = static_cast<int>(std::min<std::int64_t>(
-        params.neighborhood_size, remaining));
-    if (want <= 0) break;
-    const auto candidates = state.generate_candidates(want);
-    t += static_cast<double>(candidates.size()) * cost.eval_us;
-    t += selection_cost(candidates.size(), cost);
-    state.step_with_candidates(candidates);
+/// The virtual-clock Team: `processors - 1` simulated workers, whose
+/// chunks are computed at dispatch but arrive at their CostModel
+/// completion times, and a master clock that the CostModel charges for
+/// every dispatch, receive, own chunk and selection.  Straggler noise
+/// draws from `noise_seed`; worker streams split from the run's seed.
+/// Only sim-async sets `options`.
+class SimTeam final : public Team {
+ public:
+  SimTeam(const Instance& inst, const TsmoParams& params, int processors,
+          const CostModel& cost, std::uint64_t noise_seed,
+          std::shared_ptr<const CandidateList> cands,
+          SimAsyncOptions options = {})
+      : cost_(cost),
+        options_(std::move(options)),
+        noise_(noise_seed),
+        cands_(std::move(cands)) {
+    const int chunk = std::max(1, params.neighborhood_size / processors);
+    wait_too_long_us_ = options_.wait_too_long_us > 0.0
+                            ? options_.wait_too_long_us
+                            : 0.5 * static_cast<double>(chunk) * cost.eval_us;
+    Rng stream_seed(params.seed ^ 0x5eedF00dULL);
+    for (int w = 0; w < processors - 1; ++w) {
+      workers_.push_back(
+          {std::make_unique<MoveEngine>(inst), stream_seed.split(), {}});
+      if (cands_) workers_.back().engine->set_candidate_list(cands_.get());
+    }
   }
-  scope.finish(state.iterations());
-  RunResult r = collect_result(state, "sim-sequential", 0.0);
-  r.sim_seconds = t * 1e-6;
+
+  /// The master's virtual time, µs.
+  double now() const noexcept { return now_; }
+  void start_at(double t) noexcept { now_ = t; }
+
+  int num_workers() const noexcept override {
+    return static_cast<int>(workers_.size());
+  }
+
+  /// Serial dispatch at the master: one solution transfer per chunk.  The
+  /// worker computes its candidates now, against the base as of dispatch,
+  /// but the master sees them only at the chunk's done time.
+  void dispatch(int worker, std::shared_ptr<const Solution> base,
+                int count) override {
+    now_ += cost_.msg_us + cost_.transfer_solution_us;
+    Worker& w = workers_[static_cast<std::size_t>(worker)];
+    NeighborhoodGenerator generator(*w.engine);
+    w.result = make_candidates(generator, std::move(base), count, w.rng);
+    for (Candidate& c : w.result) c.origin = static_cast<std::int16_t>(worker);
+    const double work = static_cast<double>(w.result.size()) * cost_.eval_us *
+                        cost_.straggler_noise(noise_);
+    w.done_time = now_ + cost_.msg_us + work;
+    w.busy_us += cost_.msg_us + work;
+    w.busy = true;
+  }
+
+  void master_generated(std::size_t count) override {
+    now_ += static_cast<double>(count) * cost_.eval_us;
+  }
+
+  /// Takes every result with done_time <= now in worker order, charging
+  /// the master's receive cost for each.
+  void collect_arrived(const Take& take) override {
+    for (std::size_t i = 0; i < workers_.size(); ++i) {
+      Worker& w = workers_[i];
+      if (!w.busy || w.done_time > now_) continue;
+      w.busy = false;
+      GenResult result{std::move(w.result), 0, static_cast<int>(i)};
+      now_ += cost_.msg_us + static_cast<double>(result.candidates.size()) *
+                                 cost_.transfer_per_cand_us;
+      take(result);
+    }
+  }
+
+  void wait(const std::function<bool()>& decided, const Take& take) override {
+    const double wait_start = now_;
+    while (!decided()) {
+      double next = kInf;
+      for (const Worker& w : workers_) {
+        if (w.busy) next = std::min(next, w.done_time);
+      }
+      if (next == kInf) break;  // nothing in flight: waiting is pointless
+      if (next > wait_start + wait_too_long_us_) {
+        now_ = wait_start + wait_too_long_us_;  // c3
+        break;
+      }
+      now_ = next;
+      collect_arrived(take);
+    }
+  }
+
+  /// The round continues after the slowest participant (straggler noise
+  /// applies), then the master receives every returned chunk.
+  void barrier(int /*chunks*/, const Take& take) override {
+    for (const Worker& w : workers_) {
+      if (w.busy) now_ = std::max(now_, w.done_time);
+    }
+    collect_arrived(take);
+  }
+
+  void selecting(const std::vector<Candidate>& pool) override {
+    now_ += selection_cost(pool.size(), cost_);
+    if (!options_.observer) return;
+    pool_objs_.clear();
+    for (const Candidate& c : pool) pool_objs_.push_back(c.obj);
+  }
+
+  bool use_c1() const noexcept override { return options_.use_c1; }
+  bool use_c2() const noexcept override { return options_.use_c2; }
+
+  /// Reports a finished master iteration to the observer, if any.
+  void observe(const SearchState& state, const SearchState::StepOutcome& step) {
+    if (!options_.observer) return;
+    SimAsyncIterationEvent ev;
+    ev.iteration = state.iterations();
+    ev.virtual_time_s = now_ * 1e-6;
+    ev.pool = std::move(pool_objs_);
+    ev.selected = state.current()->objectives();
+    ev.restarted = step.restarted;
+    options_.observer(ev);
+  }
+
+  /// Exports the workers' virtual utilization as the same
+  /// `worker.<id>.busy_ns` / `.idle_ns` gauges the real WorkerTeam
+  /// maintains, so table benches (which run on the DES substrate) report
+  /// per-worker utilization too.  Virtual µs are scaled to ns; idle =
+  /// total − busy.
+  void export_gauges([[maybe_unused]] double total_us) const {
+#if TSMO_TELEMETRY_ENABLED
+    if (!telemetry::enabled()) return;
+    auto& reg = telemetry::Registry::instance();
+    for (std::size_t i = 0; i < workers_.size(); ++i) {
+      const double busy_us = workers_[i].busy_us;
+      const double idle_us = std::max(0.0, total_us - busy_us);
+      const std::string prefix = "worker." + std::to_string(i);
+      reg.gauge_add(reg.gauge(prefix + ".busy_ns"),
+                    static_cast<std::int64_t>(busy_us * 1e3));
+      reg.gauge_add(reg.gauge(prefix + ".idle_ns"),
+                    static_cast<std::int64_t>(idle_us * 1e3));
+    }
+#endif
+  }
+
+ private:
+  struct Worker {
+    std::unique_ptr<MoveEngine> engine;
+    Rng rng;
+    std::vector<Candidate> result;  ///< hidden until done_time
+    double done_time = kInf;
+    double busy_us = 0.0;  ///< receiving + generating so far
+    bool busy = false;
+  };
+
+  CostModel cost_;
+  SimAsyncOptions options_;
+  Rng noise_;
+  std::shared_ptr<const CandidateList> cands_;  ///< outlives the engines
+  std::vector<Worker> workers_;
+  double now_ = 0.0;
+  double wait_too_long_us_ = 0.0;
+  std::vector<Objectives> pool_objs_;  ///< the observer's, per iteration
+};
+
+/// A simulated searcher's result, finished at virtual time `finish_us`.
+RunResult sim_result(const SearchState& state, const char* engine,
+                     double finish_us) {
+  RunResult r = collect_result(state, engine, 0.0);
+  r.sim_seconds = finish_us * 1e-6;
   r.refresh_throughput();
   return r;
 }
 
+/// The result of a collaborative run on the virtual clock; ends `scope`.
+MultisearchResult merged_result(std::vector<RunResult> per_searcher,
+                                const char* engine, std::int64_t sent,
+                                std::int64_t accepted, RunScope& scope) {
+  MultisearchResult result;
+  result.per_searcher = std::move(per_searcher);
+  result.merged = merge_results(result.per_searcher, engine);
+  scope.finish(result.merged.iterations);
+  result.messages_sent = sent;
+  result.messages_accepted = accepted;
+  return result;
+}
+
+/// SyncTsmo's rounds on the virtual clock until the budget is spent.
+auto sync_rounds(int neighborhood, int procs) {
+  return [=](SearchState& state, SimTeam& team) {
+    while (!state.budget_exhausted() &&
+           sync_round(state, neighborhood, procs, team)) {
+    }
+  };
+}
+
+/// A master-worker run on the virtual clock: the `span` ("run.<engine>")
+/// scope, the candidate list, the master's state and a SimTeam of
+/// `procs - 1` workers whose clock starts after the initial construction;
+/// `search` runs the master on them.
+RunResult run_on_virtual_clock(
+    const char* span, const Instance& inst, const TsmoParams& params,
+    int procs, const CostModel& cost, std::uint64_t noise_seed,
+    SimAsyncOptions options, const RunContext& ctx,
+    const std::function<void(SearchState&, SimTeam&)>& search) {
+  RunScope scope(span, params, ctx, 1, procs - 1);
+  const auto cands = make_candidate_list(inst, params.candidate_k);
+  SearchState state(inst, params, Rng(params.seed), cands);
+  SimTeam team(inst, params, procs, cost, noise_seed, cands,
+               std::move(options));
+  scope.attach(state);
+  state.initialize();
+  team.start_at(cost.eval_us);  // initial construction
+  search(state, team);
+  team.export_gauges(team.now());
+  scope.finish(state.iterations());
+  return sim_result(state, span + 4, team.now());  // the name after "run."
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
-// Synchronous master-worker
+// Sequential and master-worker: sync_round and AsyncMaster on a SimTeam
 // ---------------------------------------------------------------------------
+
+RunResult run_sim_sequential(const Instance& inst, const TsmoParams& params,
+                             const CostModel& cost, const RunContext& ctx) {
+  // The synchronous round without workers: the master generates and
+  // prices the whole neighborhood itself.
+  return run_on_virtual_clock("run.sim-sequential", inst, params, 1, cost, 0,
+                              {}, ctx,
+                              sync_rounds(params.neighborhood_size, 1));
+}
 
 RunResult run_sim_sync(const Instance& inst, const TsmoParams& params,
                        int processors, const CostModel& cost,
                        const RunContext& ctx) {
   const int procs = std::max(2, processors);
-  RunScope scope("run.sim-sync", params, ctx, 1, procs - 1);
-  const auto cands = make_candidate_list(inst, params.candidate_k);
-  SearchState state(inst, params, Rng(params.seed), cands);
-  scope.attach(state);
-  state.initialize();
-  Rng noise(params.seed ^ 0xd015eULL);
-
-  Rng stream_seed(params.seed ^ 0x5eedF00dULL);
-  std::vector<SimWorker> workers;
-  workers.reserve(static_cast<std::size_t>(procs - 1));
-  for (int w = 0; w < procs - 1; ++w) {
-    workers.emplace_back(inst, w, stream_seed.split(), cands);
-  }
-
-  double t = cost.eval_us;  // initial construction
-  while (!state.budget_exhausted()) {
-    const std::int64_t remaining =
-        params.max_evaluations - state.evaluations();
-    const int want = static_cast<int>(std::min<std::int64_t>(
-        params.neighborhood_size, remaining));
-    if (want <= 0) break;
-    const int chunk = want / procs;
-
-    // Serial dispatch at the master: one solution transfer per worker.
-    double dispatch_end = t;
-    int dispatched = 0;
-    if (chunk > 0) {
-      for (SimWorker& w : workers) {
-        dispatch_end += cost.msg_us + cost.transfer_solution_us;
-        w.dispatch(state.current(), chunk, dispatch_end, cost, noise);
-        ++dispatched;
-      }
-      TSMO_COUNT_N("sync.chunks_dispatched",
-                   static_cast<std::uint64_t>(dispatched));
-    }
-    // Master's own share runs after dispatching.
-    const int master_chunk = want - dispatched * chunk;
-    std::vector<Candidate> pool = state.generate_candidates(master_chunk);
-    double master_done =
-        dispatch_end + static_cast<double>(pool.size()) * cost.eval_us;
-
-    // Barrier: the iteration continues after the slowest participant,
-    // then the master deserializes every returned chunk.
-    double barrier = master_done;
-    for (SimWorker& w : workers) {
-      if (!w.busy()) continue;
-      barrier = std::max(barrier, w.done_time());
-    }
-    for (SimWorker& w : workers) {
-      if (!w.busy()) continue;
-      auto part = w.collect();
-      barrier += cost.msg_us + static_cast<double>(part.size()) *
-                                   cost.transfer_per_cand_us;
-      state.charge_evaluations(static_cast<std::int64_t>(part.size()));
-      pool.insert(pool.end(), std::make_move_iterator(part.begin()),
-                  std::make_move_iterator(part.end()));
-    }
-    t = barrier + selection_cost(pool.size(), cost);
-    state.step_with_candidates(pool);
-  }
-  export_sim_worker_gauges(workers, t);
-  scope.finish(state.iterations());
-  RunResult r = collect_result(state, "sim-sync", 0.0);
-  r.sim_seconds = t * 1e-6;
-  r.refresh_throughput();
-  return r;
+  return run_on_virtual_clock(
+      "run.sim-sync", inst, params, procs, cost, params.seed ^ 0xd015eULL, {},
+      ctx, sync_rounds(params.neighborhood_size, procs));
 }
-
-// ---------------------------------------------------------------------------
-// Asynchronous master-worker — reusable core (also drives the hybrid)
-// ---------------------------------------------------------------------------
-
-namespace {
-
-class AsyncSimCore {
- public:
-  /// Attaches the master to `scope` under `searcher` before initializing;
-  /// the master and its workers share the run's candidate list `cands`.
-  AsyncSimCore(const Instance& inst, const TsmoParams& params,
-               int processors, const CostModel& cost,
-               SimAsyncOptions options, const RunScope& scope,
-               std::shared_ptr<const CandidateList> cands, int searcher = 0)
-      : params_(params),
-        cost_(cost),
-        options_(std::move(options)),
-        cands_(std::move(cands)),
-        state_(inst, params, Rng(params.seed), cands_),
-        noise_(params.seed ^ 0xa57cULL) {
-    const int procs = std::max(2, processors);
-    chunk_ = std::max(1, params.neighborhood_size / procs);
-    wait_too_long_us_ = options.wait_too_long_us > 0.0
-                            ? options.wait_too_long_us
-                            : 0.5 * static_cast<double>(chunk_) *
-                                  cost.eval_us;
-    Rng stream_seed(params.seed ^ 0x5eedF00dULL);
-    workers_.reserve(static_cast<std::size_t>(procs - 1));
-    for (int w = 0; w < procs - 1; ++w) {
-      workers_.emplace_back(inst, w, stream_seed.split(), cands_);
-    }
-    scope.attach(state_, searcher);
-    state_.initialize();
-  }
-
-  SearchState& state() noexcept { return state_; }
-  bool done() const noexcept { return state_.budget_exhausted(); }
-
-  /// Publishes per-worker virtual utilization gauges up to time `total_us`.
-  void export_worker_gauges(double total_us) const {
-    export_sim_worker_gauges(workers_, total_us);
-  }
-
-  struct IterResult {
-    double end_time = 0.0;
-    bool archive_improved = false;
-    bool progressed = false;  ///< false when the budget ran out instead
-  };
-
-  /// One master macro-iteration starting no earlier than `now`.
-  IterResult iterate(double now) {
-    IterResult out;
-    if (done()) {
-      out.end_time = now;
-      return out;
-    }
-    double t = now;
-
-    // Dispatch fresh chunks to idle workers while the budget leaves room.
-    for (SimWorker& w : workers_) {
-      const std::int64_t headroom = params_.max_evaluations -
-                                    state_.evaluations() - inflight_;
-      if (w.busy() || headroom < chunk_) continue;
-      t += cost_.msg_us + cost_.transfer_solution_us;
-      w.dispatch(state_.current(), chunk_, t, cost_, noise_);
-      inflight_ += chunk_;
-      TSMO_COUNT("async.chunks_dispatched");
-    }
-
-    // Master's own share.
-    const std::int64_t remaining =
-        params_.max_evaluations - state_.evaluations();
-    const int master_chunk =
-        static_cast<int>(std::min<std::int64_t>(chunk_, remaining));
-    if (master_chunk > 0) {
-      auto mine = state_.generate_candidates(master_chunk);
-      t += static_cast<double>(mine.size()) * cost_.eval_us;
-      pool_.insert(pool_.end(), std::make_move_iterator(mine.begin()),
-                   std::make_move_iterator(mine.end()));
-    }
-    t = collect_arrived(t);
-
-    // Algorithm 2 on the virtual clock.
-    const double wait_start = t;
-    for (;;) {
-      const bool c1 = std::any_of(workers_.begin(), workers_.end(),
-                                  [](const SimWorker& w) {
-                                    return !w.busy();
-                                  });
-      const bool c2 = std::any_of(
-          pool_.begin(), pool_.end(), [&](const Candidate& c) {
-            return dominates(c.obj, state_.current()->objectives());
-          });
-      const bool c4 = state_.budget_exhausted();
-      if ((options_.use_c1 && c1) || (options_.use_c2 && c2) || c4) break;
-      const double next = next_completion();
-      if (next == kInf) break;  // nothing in flight: waiting is pointless
-      if (next > wait_start + wait_too_long_us_) {
-        t = wait_start + wait_too_long_us_;  // c3
-        break;
-      }
-      t = collect_arrived(next);
-    }
-
-    if (pool_.empty() && state_.budget_exhausted()) {
-      out.end_time = t;
-      return out;
-    }
-    t += selection_cost(pool_.size(), cost_);
-    std::vector<Objectives> pool_objs;
-    if (options_.observer) {
-      pool_objs.reserve(pool_.size());
-      for (const Candidate& c : pool_) pool_objs.push_back(c.obj);
-    }
-    const auto step = state_.step_with_candidates(pool_);
-    pool_.clear();
-    if (options_.observer) {
-      SimAsyncIterationEvent ev;
-      ev.iteration = state_.iterations();
-      ev.virtual_time_s = t * 1e-6;
-      ev.pool = std::move(pool_objs);
-      ev.selected = state_.current()->objectives();
-      ev.restarted = step.restarted;
-      options_.observer(ev);
-    }
-    out.end_time = t;
-    out.archive_improved = step.archive_improved;
-    out.progressed = true;
-    return out;
-  }
-
- private:
-  double next_completion() const {
-    double next = kInf;
-    for (const SimWorker& w : workers_) {
-      if (w.busy()) next = std::min(next, w.done_time());
-    }
-    return next;
-  }
-
-  /// Moves every result with done_time <= t into the pool, charging the
-  /// master's receive costs; returns the advanced master time.
-  double collect_arrived(double t) {
-    for (SimWorker& w : workers_) {
-      if (!w.busy() || w.done_time() > t) continue;
-      auto part = w.collect();
-      inflight_ -= chunk_;
-      t += cost_.msg_us + static_cast<double>(part.size()) *
-                              cost_.transfer_per_cand_us;
-      state_.charge_evaluations(static_cast<std::int64_t>(part.size()));
-      pool_.insert(pool_.end(), std::make_move_iterator(part.begin()),
-                   std::make_move_iterator(part.end()));
-    }
-    return t;
-  }
-
-  TsmoParams params_;
-  CostModel cost_;
-  SimAsyncOptions options_;
-  std::shared_ptr<const CandidateList> cands_;  ///< init before state_
-  SearchState state_;
-  Rng noise_;
-  std::vector<SimWorker> workers_;
-  std::vector<Candidate> pool_;
-  int chunk_ = 1;
-  std::int64_t inflight_ = 0;
-  double wait_too_long_us_ = 0.0;
-};
-
-}  // namespace
 
 RunResult run_sim_async(const Instance& inst, const TsmoParams& params,
                         int processors, const CostModel& cost,
                         SimAsyncOptions options, const RunContext& ctx) {
-  RunScope scope("run.sim-async", params, ctx, 1,
-                 std::max(2, processors) - 1);
-  AsyncSimCore core(inst, params, processors, cost, std::move(options),
-                    scope, make_candidate_list(inst, params.candidate_k));
-  double t = cost.eval_us;  // initial construction
-  while (!core.done()) {
-    const auto iter = core.iterate(t);
-    t = iter.end_time;
-    if (!iter.progressed) break;
-  }
-  core.export_worker_gauges(t);
-  scope.finish(core.state().iterations());
-  RunResult r = collect_result(core.state(), "sim-async", 0.0);
-  r.sim_seconds = t * 1e-6;
-  r.refresh_throughput();
-  return r;
+  const int procs = std::max(2, processors);
+  return run_on_virtual_clock(
+      "run.sim-async", inst, params, procs, cost, params.seed ^ 0xa57cULL,
+      std::move(options), ctx, [procs](SearchState& state, SimTeam& team) {
+        AsyncMaster master(state, procs, team);
+        while (!state.budget_exhausted()) {
+          const auto step = master.iterate();
+          if (!step) break;
+          team.observe(state, *step);
+        }
+      });
 }
 
 // ---------------------------------------------------------------------------
@@ -481,19 +361,12 @@ MultisearchResult run_sim_multisearch(const Instance& inst,
   }
   sim.run();
 
-  MultisearchResult result;
-  result.per_searcher.reserve(n);
-  for (auto& s : searchers) {
-    RunResult r = collect_result(*s.state, "sim-coll", 0.0);
-    r.sim_seconds = s.finish_time * 1e-6;
-    r.refresh_throughput();
-    result.per_searcher.push_back(std::move(r));
+  std::vector<RunResult> results;
+  for (const auto& s : searchers) {
+    results.push_back(sim_result(*s.state, "sim-coll", s.finish_time));
   }
-  result.merged = merge_results(result.per_searcher, "sim-coll");
-  scope.finish(result.merged.iterations);
-  result.messages_sent = messages_sent;
-  result.messages_accepted = messages_accepted;
-  return result;
+  return merged_result(std::move(results), "sim-coll", messages_sent,
+                       messages_accepted, scope);
 }
 
 // ---------------------------------------------------------------------------
@@ -506,64 +379,73 @@ MultisearchResult run_sim_hybrid(const Instance& inst,
                                  const CostModel& cost,
                                  const RunContext& ctx) {
   const int k = std::max(2, islands);
-  RunScope scope("run.sim-hybrid", params, ctx, k,
-                 k * (std::max(2, procs_per_island) - 1));
+  const int procs = std::max(2, procs_per_island);
+  RunScope scope("run.sim-hybrid", params, ctx, k, k * (procs - 1));
   const auto n = static_cast<std::size_t>(k);
   const double contention = cost.contention_factor(k);
 
+  // An island is AsyncMaster over its own SimTeam, like sim-async.
   struct Island {
+    Island(const Instance& inst, const TsmoParams& base, int id, int k,
+           int procs, const CostModel& cost,
+           const std::shared_ptr<const CandidateList>& cands)
+        : collab(base, id, k, HybridExchange::salt),
+          state(inst, collab.params(), Rng(collab.params().seed), cands),
+          team(inst, collab.params(), procs, cost,
+               collab.params().seed ^ 0xa57cULL, cands),
+          master(state, procs, team) {}
     Collaborator collab;
-    std::unique_ptr<AsyncSimCore> core;
+    SearchState state;
+    SimTeam team;
+    AsyncMaster master;
     std::vector<std::shared_ptr<const Solution>> mailbox;
     double finish_time = 0.0;
   };
-  std::vector<Island> nodes;
+  std::vector<std::unique_ptr<Island>> nodes;
   nodes.reserve(n);
   std::int64_t messages_sent = 0, messages_accepted = 0;
   // candidate_k is never perturbed, so every island shares one list.
   const auto cands = make_candidate_list(inst, params.candidate_k);
 
   for (int id = 0; id < k; ++id) {
-    Collaborator collab(params, id, k, HybridExchange::salt);
-    auto core = std::make_unique<AsyncSimCore>(
-        inst, collab.params(), procs_per_island, cost, SimAsyncOptions{},
-        scope, cands, id);
-    nodes.push_back({std::move(collab), std::move(core), {}, 0.0});
+    nodes.push_back(
+        std::make_unique<Island>(inst, params, id, k, procs, cost, cands));
+    scope.attach(nodes.back()->state, id);
+    nodes.back()->state.initialize();
   }
 
   Simulation sim;
   std::function<void(int)> do_step = [&](int id) {
-    auto& isl = nodes[static_cast<std::size_t>(id)];
-    if (isl.core->done()) {
+    Island& isl = *nodes[static_cast<std::size_t>(id)];
+    if (isl.state.budget_exhausted()) {
       isl.finish_time = sim.now();
       return;
     }
     double extra = 0.0;
     for (std::shared_ptr<const Solution>& incoming : isl.mailbox) {
       extra += cost.msg_us;
-      if (isl.core->state().receive(std::move(incoming))) {
-        ++messages_accepted;
-      }
+      if (isl.state.receive(std::move(incoming))) ++messages_accepted;
     }
     isl.mailbox.clear();
 
-    const auto iter = isl.core->iterate(sim.now() + extra);
-    if (!iter.progressed) {
-      isl.finish_time = iter.end_time;
+    isl.team.start_at(sim.now() + extra);
+    const auto step = isl.master.iterate();
+    if (!step) {
+      isl.finish_time = isl.team.now();
       return;
     }
-    double end = sim.now() + (iter.end_time - sim.now()) * contention;
+    double end = sim.now() + (isl.team.now() - sim.now()) * contention;
 
     if (const auto target = isl.collab.send_target(
-            isl.core->state().iterations_since_improvement(),
-            iter.archive_improved)) {
+            isl.state.iterations_since_improvement(),
+            step->archive_improved)) {
       end += cost.msg_us + cost.transfer_solution_us;
       ++messages_sent;
-      std::shared_ptr<const Solution> payload = isl.core->state().current();
+      std::shared_ptr<const Solution> payload = isl.state.current();
       sim.schedule_at(end + cost.msg_us,
                       [&, to = *target, payload = std::move(payload)] {
                         nodes[static_cast<std::size_t>(to)]
-                            .mailbox.push_back(payload);
+                            ->mailbox.push_back(payload);
                       });
     }
     sim.schedule_at(end, [&, id] { do_step(id); });
@@ -574,20 +456,13 @@ MultisearchResult run_sim_hybrid(const Instance& inst,
   }
   sim.run();
 
-  MultisearchResult result;
-  result.per_searcher.reserve(n);
-  for (auto& isl : nodes) {
-    isl.core->export_worker_gauges(isl.finish_time);
-    RunResult r = collect_result(isl.core->state(), "sim-hybrid", 0.0);
-    r.sim_seconds = isl.finish_time * 1e-6;
-    r.refresh_throughput();
-    result.per_searcher.push_back(std::move(r));
+  std::vector<RunResult> results;
+  for (const auto& isl : nodes) {
+    isl->team.export_gauges(isl->finish_time);
+    results.push_back(sim_result(isl->state, "sim-hybrid", isl->finish_time));
   }
-  result.merged = merge_results(result.per_searcher, "sim-hybrid");
-  scope.finish(result.merged.iterations);
-  result.messages_sent = messages_sent;
-  result.messages_accepted = messages_accepted;
-  return result;
+  return merged_result(std::move(results), "sim-hybrid", messages_sent,
+                       messages_accepted, scope);
 }
 
 }  // namespace tsmo

@@ -3,13 +3,14 @@
 // Simulated executions of the four algorithms on a virtual clock.
 //
 // These drivers run the REAL search code (the same SearchState /
-// MoveEngine / memories as the threaded implementations); the CostModel
-// only determines how much virtual time each piece of work consumes and
-// hence *when worker results become visible to the master* — exactly the
-// mechanism that separates the synchronous, asynchronous and collaborative
-// strategies in the paper.  Results carry the virtual runtime in
-// RunResult::sim_seconds; the speedup columns of Tables I-IV are
-// Ts_sim / Tp_sim.
+// MoveEngine / memories as the threaded implementations, and for sync and
+// async the threaded engines' own masters, sync_round and AsyncMaster, on
+// a virtual-clock Team); the CostModel only determines how much virtual
+// time each piece of work consumes and hence *when worker results become
+// visible to the master* — exactly the mechanism that separates the
+// synchronous, asynchronous and collaborative strategies in the paper.
+// Results carry the virtual runtime in RunResult::sim_seconds; the
+// speedup columns of Tables I-IV are Ts_sim / Tp_sim.
 //
 // Everything here is deterministic in (instance, params, processors, seed).
 // Each driver takes a RunContext like the threaded engines; its searchers
@@ -31,9 +32,9 @@ RunResult run_sim_sequential(const Instance& inst, const TsmoParams& params,
                              const CostModel& cost,
                              const RunContext& ctx = {});
 
-/// Synchronous master-worker (§III.C): per iteration the master dispatches
-/// chunks, computes its own, and blocks at a barrier until the slowest
-/// worker (straggler noise applies) has returned.
+/// Synchronous master-worker (§III.C), SyncTsmo's sync_round: the master
+/// dispatches chunks, computes its own, and waits at a barrier for the
+/// slowest worker (straggler noise applies).
 RunResult run_sim_sync(const Instance& inst, const TsmoParams& params,
                        int processors, const CostModel& cost,
                        const RunContext& ctx = {});
@@ -64,7 +65,7 @@ struct SimAsyncOptions {
   std::function<void(const SimAsyncIterationEvent&)> observer;
 };
 
-/// Asynchronous master-worker (§III.D, Algorithm 2) on the virtual clock.
+/// Asynchronous master-worker (§III.D, Algorithm 2), AsyncTsmo's master.
 RunResult run_sim_async(const Instance& inst, const TsmoParams& params,
                         int processors, const CostModel& cost,
                         SimAsyncOptions options = {},
@@ -72,15 +73,15 @@ RunResult run_sim_async(const Instance& inst, const TsmoParams& params,
 
 /// Collaborative multisearch (§III.E) on a discrete-event simulation:
 /// searchers interleave on the virtual timeline and solution messages are
-/// delivered with latency.  Deterministic, unlike the threaded variant.
+/// delivered with latency (coll-det delivers them a lock-step round later).
 MultisearchResult run_sim_multisearch(const Instance& inst,
                                       const TsmoParams& params,
                                       int processors, const CostModel& cost,
                                       const RunContext& ctx = {});
 
 /// The paper's future-work hybrid (§V): `islands` collaborative islands,
-/// each an asynchronous master-worker group of `procs_per_island`
-/// processors, exchanging improving solutions like the multisearch TS.
+/// each an AsyncMaster over `procs_per_island` processors, exchanging
+/// improving solutions like the multisearch TS.
 MultisearchResult run_sim_hybrid(const Instance& inst,
                                  const TsmoParams& params, int islands,
                                  int procs_per_island,

@@ -98,7 +98,11 @@ Instance read_solomon(std::istream& is, const SolomonLimits& limits) {
   if (sites.empty()) {
     throw std::runtime_error("read_solomon: no customer rows");
   }
-  return Instance(name, std::move(sites), max_vehicles, capacity);
+  // The file's numbers reach the engines only once validated, as the
+  // generator validates what it builds itself.
+  Instance inst(name, std::move(sites), max_vehicles, capacity);
+  inst.validate();
+  return inst;
 }
 
 Instance read_solomon_file(const std::string& path) {

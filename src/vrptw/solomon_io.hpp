@@ -34,7 +34,9 @@ struct SolomonLimits {
 
 /// Parses an instance from a stream.  Throws std::runtime_error with a
 /// line-oriented diagnostic on malformed input, and when the file declares
-/// more customers or vehicles than `limits` allow.
+/// more customers or vehicles than `limits` allow; throws
+/// std::invalid_argument when Instance::validate rejects what it read
+/// (a non-finite number, ready after due, a demand above capacity, ...).
 Instance read_solomon(std::istream& is, const SolomonLimits& limits = {});
 
 /// Parses an instance from a file path.

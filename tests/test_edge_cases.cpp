@@ -4,18 +4,37 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "construct/i1_insertion.hpp"
 #include "core/sequential_tsmo.hpp"
+#include "harness/job_runner.hpp"
 #include "operators/neighborhood.hpp"
+#include "parallel/async_tsmo.hpp"
+#include "parallel/hybrid_tsmo.hpp"
+#include "parallel/multisearch_tsmo.hpp"
+#include "parallel/sync_tsmo.hpp"
+#include "sim/sim_tsmo.hpp"
+#include "util/json.hpp"
 #include "vrptw/generator.hpp"
+#include "vrptw/solomon_io.hpp"
 
 namespace tsmo {
 namespace {
 
-Instance one_customer_instance() {
+Instance one_customer_instance(int vehicles = 2) {
   std::vector<Site> sites = {{0, 0, 0, 0, 1000, 0},
                              {5, 0, 3, 0, 100, 2}};
-  return Instance("one", std::move(sites), 2, 10);
+  return Instance("one", std::move(sites), vehicles, 10);
+}
+
+/// Two customers 100 from the depot, each due at 10: no junction can meet
+/// a window, so the screen passes no proposal.
+Instance unreachable_instance() {
+  std::vector<Site> sites = {{0, 0, 0, 0, 1000, 0},
+                             {100, 0, 1, 0, 10, 0},
+                             {0, 100, 1, 0, 10, 0}};
+  return Instance("unreachable", std::move(sites), 2, 100);
 }
 
 TEST(EdgeCases, OneCustomerConstruction) {
@@ -28,16 +47,69 @@ TEST(EdgeCases, OneCustomerConstruction) {
 }
 
 TEST(EdgeCases, OneCustomerSearchTerminates) {
-  const Instance inst = one_customer_instance();
-  TsmoParams p;
-  p.max_evaluations = 200;
-  p.neighborhood_size = 10;
-  p.seed = 2;
-  const RunResult r = SequentialTsmo(inst, p).run();
-  // The only structure possible: one route with the single customer
-  // (relocate to the other empty slot is the sole move family).
-  ASSERT_FALSE(r.front.empty());
-  EXPECT_DOUBLE_EQ(r.front[0].distance, 10.0);
+  // With two vehicles, relocating the customer to the empty route is the
+  // sole move family; with one vehicle no move exists at all.
+  for (int vehicles : {2, 1}) {
+    const Instance inst = one_customer_instance(vehicles);
+    TsmoParams p;
+    p.max_evaluations = 200;
+    p.neighborhood_size = 10;
+    p.seed = 2;
+    const RunResult r = SequentialTsmo(inst, p).run();
+    // The only structure possible: one route with the single customer.
+    ASSERT_FALSE(r.front.empty()) << vehicles;
+    EXPECT_DOUBLE_EQ(r.front[0].distance, 10.0) << vehicles;
+  }
+}
+
+/// When no proposal ever passes the screen, the budget is never spent:
+/// every engine must still end, once `restart_after` consecutive steps
+/// had an empty pool.
+TEST(EdgeCases, EmptyNeighborhoodEndsEveryEngine) {
+  for (const Instance& inst : {one_customer_instance(1),
+                               unreachable_instance()}) {
+    TsmoParams p;
+    p.max_evaluations = 500;
+    p.neighborhood_size = 10;
+    p.restart_after = 20;
+    p.seed = 3;
+    const CostModel cost = CostModel::for_instance(inst);
+    std::vector<RunResult> runs;
+    for (bool deterministic : {false, true}) {
+      ParallelOptions options;
+      options.deterministic = deterministic;
+      runs.push_back(SyncTsmo(inst, p, 3, options).run());
+      runs.push_back(AsyncTsmo(inst, p, 3, options).run());
+      runs.push_back(MultisearchTsmo(inst, p, 3, options).run().merged);
+      runs.push_back(HybridTsmo(inst, p, 2, 2, options).run().merged);
+    }
+    runs.push_back(run_sim_sequential(inst, p, cost));
+    runs.push_back(run_sim_sync(inst, p, 3, cost));
+    runs.push_back(run_sim_async(inst, p, 3, cost));
+    runs.push_back(run_sim_multisearch(inst, p, 3, cost).merged);
+    runs.push_back(run_sim_hybrid(inst, p, 2, 2, cost).merged);
+    for (const RunResult& r : runs) {
+      EXPECT_FALSE(r.front.empty()) << inst.name() << " " << r.algorithm;
+      // At most three searchers, each ending about restart_after steps
+      // after its last non-empty pool.
+      EXPECT_LT(r.iterations, 10 * p.restart_after)
+          << inst.name() << " " << r.algorithm;
+    }
+
+    std::ostringstream text;
+    write_solomon(text, inst);
+    for (const char* algorithm : {"seq", "sync", "async", "coll", "hybrid"}) {
+      const obs::JobOutcome job = run_job_body(
+          std::string("{\"solomon\": \"") + JsonWriter::escape(text.str()) +
+              "\", \"algorithm\": \"" + algorithm +
+              "\", \"params\": {\"evaluations\": 500, "
+              "\"restart_after\": 20}}",
+          {});
+      EXPECT_TRUE(job.ok) << inst.name() << " " << algorithm << ": "
+                          << job.error;
+      EXPECT_FALSE(job.stopped_early) << inst.name() << " " << algorithm;
+    }
+  }
 }
 
 TEST(EdgeCases, OneCustomerNeighborhoodOnlyRelocates) {

@@ -23,8 +23,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <set>
 #include <sstream>
@@ -149,6 +151,20 @@ void expect_identical(const std::vector<RunResult>& runs,
   }
   expect_pinned(key + ".trace", runs.front().trace_fingerprint);
   expect_pinned(key + ".archive", runs.front().archive_fingerprint);
+}
+
+std::uint64_t time_bits(double seconds) {
+  return std::bit_cast<std::uint64_t>(seconds);
+}
+
+/// Pins the virtual runtime of each searcher of a simulated
+/// collaborative run.
+void expect_searcher_times(const MultisearchResult& result,
+                           const std::string& key) {
+  for (std::size_t i = 0; i < result.per_searcher.size(); ++i) {
+    expect_pinned(key + ".searcher" + std::to_string(i) + ".sim_seconds",
+                  time_bits(result.per_searcher[i].sim_seconds));
+  }
 }
 
 class GoldenSeedTest : public ::testing::Test {
@@ -534,14 +550,76 @@ TEST_F(GoldenSeedTest, ExchangePinnedAcrossEngines) {
         }
         expect_exchange(full, "hybrid-det" + suffix);
       }
-      expect_exchange({run_sim_multisearch(inst_, p, 3, cost),
-                       run_sim_multisearch(inst_, p, 3, cost)},
+      const MultisearchResult coll = run_sim_multisearch(inst_, p, 3, cost);
+      expect_exchange({coll, run_sim_multisearch(inst_, p, 3, cost)},
                       "sim-coll" + suffix);
-      expect_exchange({run_sim_hybrid(inst_, p, 2, 2, cost),
-                       run_sim_hybrid(inst_, p, 2, 2, cost)},
+      expect_searcher_times(coll, "sim-coll" + suffix);
+      const MultisearchResult hybrid = run_sim_hybrid(inst_, p, 2, 2, cost);
+      expect_exchange({hybrid, run_sim_hybrid(inst_, p, 2, 2, cost)},
                       "sim-hybrid" + suffix);
+      expect_searcher_times(hybrid, "sim-hybrid" + suffix);
     }
   }
+}
+
+/// The virtual clock (DESIGN.md §4): sim-sync and sim-async at P = 3 for
+/// both sampling modes, the decision-function ablation, the Fig. 1
+/// observer's events, and the bits of each simulated runtime.  A change
+/// to what the DES charges, or in which order it sums, shows here.
+TEST_F(GoldenSeedTest, VirtualClockPinned) {
+  const CostModel cost = CostModel::for_instance(inst_);
+  const auto expect_replay = [&](const std::function<RunResult()>& run,
+                                 const std::string& key) {
+    const RunResult first = run();
+    const RunResult second = run();
+    EXPECT_EQ(time_bits(first.sim_seconds), time_bits(second.sim_seconds))
+        << key;
+    expect_identical({first, second}, key);
+    expect_pinned(key + ".sim_seconds", time_bits(first.sim_seconds));
+  };
+  for (int candidate_k : {0, 16}) {
+    const std::string variant = candidate_k == 0 ? "" : ".pruned";
+    for (std::uint64_t seed : kSeeds) {
+      TsmoParams p = golden_params(seed);
+      p.candidate_k = candidate_k;
+      const std::string suffix = variant + ".seed" + std::to_string(seed);
+      expect_replay([&] { return run_sim_sync(inst_, p, 3, cost); },
+                    "sim-sync" + suffix);
+      expect_replay([&] { return run_sim_async(inst_, p, 3, cost); },
+                    "sim-async" + suffix);
+    }
+  }
+
+  const TsmoParams p = golden_params(kSeeds[0]);
+  const int chunk = p.neighborhood_size / 3;
+  expect_replay(
+      [&] {
+        SimAsyncOptions ablation;
+        ablation.use_c1 = false;
+        ablation.use_c2 = false;
+        ablation.wait_too_long_us = 2.0 * chunk * cost.eval_us;
+        return run_sim_async(inst_, p, 3, cost, ablation);
+      },
+      "sim-async.ablation.seed" + std::to_string(kSeeds[0]));
+
+  std::uint64_t events = 0;
+  std::int64_t count = 0;
+  SimAsyncOptions observed;
+  observed.observer = [&](const SimAsyncIterationEvent& ev) {
+    std::uint64_t h = hash_combine(events, static_cast<std::uint64_t>(
+                                               ev.iteration));
+    h = hash_combine(h, time_bits(ev.virtual_time_s));
+    for (const Objectives& o : ev.pool) h = hash_combine(h, hash_objectives(o));
+    h = hash_combine(h, hash_objectives(ev.selected));
+    events = hash_combine(h, ev.restarted ? 1 : 0);
+    ++count;
+  };
+  const RunResult run = run_sim_async(inst_, p, 3, cost, observed);
+  EXPECT_EQ(count, run.iterations);
+  const std::string key =
+      "sim-async.observer.seed" + std::to_string(kSeeds[0]);
+  expect_pinned(key + ".events", events);
+  expect_pinned(key + ".sim_seconds", time_bits(run.sim_seconds));
 }
 
 /// The sampling profiler and the introspection plane (DESIGN.md §14) are

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 
 #include "vrptw/generator.hpp"
 
@@ -98,6 +99,21 @@ TEST(SolomonIo, VehicleNumberOutsideIntRangeThrows) {
                           " 100\n 0 0 0 0 0 100 0\n 1 1 1 1 0 10 0\n");
     EXPECT_THROW(read_solomon(is), std::runtime_error) << vehicles;
   }
+}
+
+TEST(SolomonIo, NonFiniteRowsThrow) {
+  // The parser reads these numbers; validation refuses them before an
+  // engine sees them (an inf due sent I1's seed rule out of bounds).
+  for (const char* row :
+       {" 1 inf 1 1 0 10 0", " 1 1 nan 1 0 10 0", " 1 1 1 inf 0 10 0",
+        " 1 1 1 1 nan 10 0", " 1 1 1 1 0 inf 0", " 1 1 1 1 0 nan 0",
+        " 1 1 1 1 0 10 inf"}) {
+    std::istringstream is(std::string("N\n 5 100\n 0 0 0 0 0 100 0\n") +
+                          row + "\n");
+    EXPECT_THROW(read_solomon(is), std::invalid_argument) << row;
+  }
+  std::istringstream depot("N\n 5 100\n 0 0 0 0 0 inf 0\n 1 1 1 1 0 10 0\n");
+  EXPECT_THROW(read_solomon(depot), std::invalid_argument);
 }
 
 TEST(SolomonIo, CustomerIdOutsideIntRangeThrows) {
