@@ -29,6 +29,8 @@ namespace {
 constexpr int kMaxJobCustomers = 1000;  ///< largest Homberger instances
 constexpr int kMaxJobVehicles = kMaxJobCustomers;  ///< one route each
 constexpr int kMaxJobProcessors = 64;
+/// Evaluations per job: ten thousand paper budgets (100k each).
+constexpr std::int64_t kMaxJobEvaluations = 1000000000;
 
 /// Integer fields of "params" and their caps.  Each must lie in [0, max];
 /// TsmoParams::clamp then raises values below its floors as before.
@@ -47,15 +49,15 @@ constexpr IntParam kIntParams[] = {
 constexpr int kMaxJobProfileHz = 1000;
 
 /// The integer at `v`, or an error naming `field` when outside [0, max].
-int bounded_int(const JsonValue& v, const std::string& field, int fallback,
-                int max) {
+std::int64_t bounded_int(const JsonValue& v, const std::string& field,
+                         std::int64_t fallback, std::int64_t max) {
   const std::int64_t x = v.as_int64(fallback);
   if (x < 0 || x > max) {
     throw std::invalid_argument(field + ": " + std::to_string(x) +
                                 " is outside [0, " + std::to_string(max) +
                                 "]");
   }
-  return static_cast<int>(x);
+  return x;
 }
 
 /// The body's "params" object: paper-default TsmoParams plus the two
@@ -73,17 +75,18 @@ JobParams parse_params(const JsonValue* node) {
   p.trace = true;  // fingerprints are part of the job contract
   if (node == nullptr || !node->is_object()) return jp;
   if (const JsonValue* v = node->find("evaluations")) {
-    p.max_evaluations = v->as_int64(p.max_evaluations);
+    p.max_evaluations = bounded_int(*v, "params.evaluations",
+                                    p.max_evaluations, kMaxJobEvaluations);
   }
   for (const IntParam& f : kIntParams) {
     if (const JsonValue* v = node->find(f.field)) {
-      p.*f.member = bounded_int(*v, std::string("params.") + f.field,
-                                p.*f.member, f.max);
+      p.*f.member = static_cast<int>(bounded_int(
+          *v, std::string("params.") + f.field, p.*f.member, f.max));
     }
   }
   if (const JsonValue* v = node->find("profile_hz")) {
-    jp.profile_hz = bounded_int(*v, "params.profile_hz", jp.profile_hz,
-                                kMaxJobProfileHz);
+    jp.profile_hz = static_cast<int>(bounded_int(
+        *v, "params.profile_hz", jp.profile_hz, kMaxJobProfileHz));
   }
   if (const JsonValue* v = node->find("seed")) {
     p.seed = static_cast<std::uint64_t>(v->as_int64(1));
@@ -196,8 +199,8 @@ obs::JobOutcome run_job_body(const std::string& body,
     const EngineRun run_engine = find_engine(algorithm);
     int processors = 3;
     if (const JsonValue* p = doc->find("processors")) {
-      processors = std::max(
-          1, bounded_int(*p, "processors", processors, kMaxJobProcessors));
+      processors = static_cast<int>(std::max<std::int64_t>(
+          1, bounded_int(*p, "processors", processors, kMaxJobProcessors)));
     }
     bool include_routes = false;
     if (const JsonValue* r = doc->find("include_routes")) {

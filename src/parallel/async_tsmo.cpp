@@ -71,83 +71,57 @@ std::optional<SearchState::StepOutcome> AsyncMaster::iterate() {
   return outcome;
 }
 
-namespace {
+StragglerMaster::StragglerMaster(SearchState& state, int processors,
+                                 WorkerTeam& threads)
+    : state_(&state),
+      team_(threads, processors, state.params().seed ^ 0xa57c5eedULL),
+      procs_(processors),
+      chunk_(std::max(1, state.params().neighborhood_size / processors)) {}
 
-/// Deterministic mode's iterations (see AsyncTsmo::run) on `team`, whose
-/// width never changes the result.
-void run_straggler_schedule(SearchState& state, int procs,
-                            WorkerTeam& team) {
-  const TsmoParams& params = state.params();
-  Rng schedule(params.seed ^ 0xa57c5eedULL);
-  const int chunk = std::max(1, params.neighborhood_size / procs);
-  std::vector<Candidate> deferred;  // straggler chunks, one iteration late
-  std::uint64_t ticket = 0;
-  std::vector<GenResult> results;
-
-  while (!state.budget_exhausted()) {
-    // Dispatch the full chunk set within the remaining budget (deferred
-    // candidates are already charged, so headroom needs no inflight term).
-    std::int64_t headroom = params.max_evaluations - state.evaluations();
-    std::int64_t total =
-        std::min<std::int64_t>(static_cast<std::int64_t>(procs) * chunk,
-                               headroom);
-    int dispatched = 0;
-    while (total > 0) {
-      const int count = static_cast<int>(std::min<std::int64_t>(chunk, total));
-      team.submit(
-          GenRequest{state.current(), count, ++ticket, schedule.next(), true});
-      total -= count;
-      ++dispatched;
-    }
-    state.trace().record_event(RunTrace::kTagDispatch, ticket,
-                               static_cast<std::uint64_t>(dispatched));
-    TSMO_COUNT_N("async.chunks_dispatched", dispatched);
-
-    // Logical collection: every chunk completes, reassembled in ticket
-    // order; the seeded straggler model, not arrival order, decides which
-    // chunks miss this iteration's selection.
-    results.clear();
-    {
-      TSMO_SPAN_TIMED("async.wait", "async.wait_ns");
-      TSMO_PROFILE_FRAME("channel.wait");
-      for (int c = 0; c < dispatched; ++c) {
-        auto result = team.collect();
-        if (!result) break;  // team shut down (cannot happen mid-run)
-        results.push_back(std::move(*result));
-      }
-    }
-    std::sort(results.begin(), results.end(),
-              [](const GenResult& a, const GenResult& b) {
-                return a.ticket < b.ticket;
-              });
-    std::vector<Candidate> pool = std::move(deferred);
-    deferred.clear();
-    bool leading = true;
-    for (GenResult& r : results) {
-      state.charge_evaluations(static_cast<std::int64_t>(r.candidates.size()));
-      const bool defer =
-          !leading && schedule.chance(kDeferProbability);
-      state.trace().record_event(RunTrace::kTagDefer, r.ticket,
-                                 defer ? 1 : 0);
-      if (defer) TSMO_COUNT("async.chunks_deferred");
-      auto& sink = defer ? deferred : pool;
-      sink.insert(sink.end(), std::make_move_iterator(r.candidates.begin()),
-                  std::make_move_iterator(r.candidates.end()));
-      leading = false;
-    }
-    state.step_with_candidates(pool);
+std::optional<SearchState::StepOutcome> StragglerMaster::iterate() {
+  SearchState& state = *state_;
+  // Deferred candidates are already charged, so the headroom needs no
+  // in-flight term.
+  std::int64_t total = std::min<std::int64_t>(
+      static_cast<std::int64_t>(procs_) * chunk_,
+      state.params().max_evaluations - state.evaluations());
+  if (total <= 0) return std::nullopt;
+  int dispatched = 0;
+  for (; total > 0; ++dispatched) {
+    const int count = static_cast<int>(std::min<std::int64_t>(chunk_, total));
+    team_.dispatch(dispatched, state.current(), count);
+    total -= count;
   }
-  // Chunks still deferred at exhaustion are dropped, like in-flight
-  // results at termination of the wall-clock mode.
-}
+  state.trace().record_event(RunTrace::kTagDispatch, team_.last_ticket(),
+                             static_cast<std::uint64_t>(dispatched));
+  TSMO_COUNT_N("async.chunks_dispatched", dispatched);
 
-}  // namespace
+  std::vector<Candidate> pool = std::move(deferred_);
+  deferred_.clear();
+  bool leading = true;
+  team_.wait([] { return false; }, [&](GenResult& r) {
+    state.charge_evaluations(static_cast<std::int64_t>(r.candidates.size()));
+    const bool defer = !leading && team_.schedule().chance(kDeferProbability);
+    state.trace().record_event(RunTrace::kTagDefer, r.ticket, defer ? 1 : 0);
+    if (defer) TSMO_COUNT("async.chunks_deferred");
+    auto& sink = defer ? deferred_ : pool;
+    sink.insert(sink.end(), std::make_move_iterator(r.candidates.begin()),
+                std::make_move_iterator(r.candidates.end()));
+    leading = false;
+  });
+  return state.step_with_candidates(pool);
+}
 
 RunResult AsyncTsmo::run() const {
   const bool det = options_.deterministic;
   return run_master("run.async", !det, [&](SearchState& state,
                                           WorkerTeam& team) {
-    if (det) return run_straggler_schedule(state, procs_, team);
+    if (det) {
+      StragglerMaster master(state, procs_, team);
+      while (!state.budget_exhausted() && master.iterate()) {
+      }
+      return;
+    }
     AsyncMaster master(state, procs_, team);
     while (!state.budget_exhausted() && master.iterate()) {
     }

@@ -48,17 +48,39 @@ class AsyncMaster {
   std::vector<Candidate> pool_;
 };
 
+/// Deterministic mode's asynchronous master (DESIGN.md §7), for async-det
+/// and every hybrid-det island: each iteration hands the full
+/// `processors`-way chunk set within the budget to a SeededTeam over
+/// `threads`, takes every chunk back in ticket order, and defers each
+/// non-leading one to the next iteration's pool with probability
+/// kDeferProbability — the paper's "neighbors of a previous solution"
+/// dynamics (Fig. 1) without arrival-order dependence.  Chunk seeds
+/// (drawn at dispatch) and deferral chances (in ticket order) come from
+/// one schedule stream.
+class StragglerMaster {
+ public:
+  /// Initialize `state` before the first iterate().
+  StragglerMaster(SearchState& state, int processors, WorkerTeam& threads);
+
+  /// One iteration; nullopt when the budget leaves no room.  Chunks still
+  /// deferred when the budget runs out are dropped, like in-flight results
+  /// at the end of a free-running run.
+  std::optional<SearchState::StepOutcome> iterate();
+
+ private:
+  SearchState* state_;
+  SeededTeam team_;
+  int procs_;
+  int chunk_;
+  std::vector<Candidate> deferred_;  ///< straggler chunks, one iteration late
+};
+
 class AsyncTsmo : public MasterWorkerTsmo {
  public:
   using MasterWorkerTsmo::MasterWorkerTsmo;
 
-  /// The free-running mode honors ctx.stall_restart for the master.
-  /// Deterministic mode dispatches the full `processors`-way chunk set
-  /// every iteration with schedule-derived seeds, reassembles the results
-  /// in ticket order, and defers a seeded random subset of non-leading
-  /// chunks to the next iteration's pool (kDeferProbability) — the
-  /// paper's "neighbors of a previous solution" dynamics (Fig. 1) without
-  /// arrival-order dependence.
+  /// The free-running mode runs AsyncMaster and honors ctx.stall_restart
+  /// for the master; deterministic mode runs the StragglerMaster.
   RunResult run() const;
 };
 

@@ -9,9 +9,6 @@
 #include "parallel/channel.hpp"
 #include "parallel/thread_pool.hpp"
 #include "util/profiler.hpp"
-#include "util/telemetry.hpp"
-#include "util/timer.hpp"
-#include "util/trace.hpp"
 
 namespace tsmo {
 
@@ -65,48 +62,22 @@ std::string result_name(const char* engine, int id) {
   return std::string(engine) + "[" + std::to_string(id) + "]";
 }
 
-/// Offers a peer's solution to `state`'s M_nondom; true when stored.
-template <typename Exchange>
-bool take_in(SearchState& state, std::shared_ptr<const Solution> sol) {
-  TSMO_COUNT(Exchange::received);
-  if (!state.receive(std::move(sol))) return false;
-  TSMO_COUNT(Exchange::accepted);
-  return true;
-}
+}  // namespace
 
-/// After an iteration: the peer that receives `peer`'s current solution,
-/// with the send traced and counted, or nullopt.
-template <typename Exchange>
-std::optional<int> send_target(Peer& peer, bool archive_improved) {
-  SearchState& state = peer.state;
-  const std::optional<int> target = peer.collab.send_target(
-      state.iterations_since_improvement(), archive_improved);
-  if (target) {
-    state.trace().record_event(RunTrace::kTagSend,
-                               static_cast<std::uint64_t>(*target),
-                               hash_objectives(state.current()->objectives()));
-    TSMO_COUNT(Exchange::sent);
-  }
-  return target;
-}
-
-/// The merged result of a collaborative run; ends `scope`.
 MultisearchResult finish_run(std::vector<RunResult> per_searcher,
                              const char* engine, std::int64_t sent,
-                             std::int64_t accepted, const Timer& timer,
+                             std::int64_t accepted, double wall_seconds,
                              RunScope& scope) {
   MultisearchResult result;
   result.per_searcher = std::move(per_searcher);
   result.merged = merge_results(result.per_searcher, engine);
-  result.merged.wall_seconds = timer.elapsed_seconds();
+  result.merged.wall_seconds = wall_seconds;
   result.merged.refresh_throughput();
   result.messages_sent = sent;
   result.messages_accepted = accepted;
   scope.finish(result.merged.iterations);
   return result;
 }
-
-}  // namespace
 
 template <typename Exchange>
 MultisearchResult run_lockstep(int peers, int exec_threads,
@@ -197,7 +168,7 @@ MultisearchResult run_lockstep(int peers, int exec_threads,
     results.push_back(std::move(s.result));
   }
   return finish_run(std::move(results), Exchange::name, sent, accepted,
-                    timer, scope);
+                    timer.elapsed_seconds(), scope);
 }
 
 template <typename Exchange>
@@ -268,7 +239,7 @@ MultisearchResult run_islands(int peers, const Timer& timer, RunScope& scope,
   }  // join
 
   return finish_run(std::move(results), Exchange::name, sent.load(),
-                    accepted.load(), timer, scope);
+                    accepted.load(), timer.elapsed_seconds(), scope);
 }
 
 template MultisearchResult run_lockstep<CollExchange>(int, int, const Timer&,

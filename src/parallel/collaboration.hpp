@@ -12,11 +12,12 @@
 // without improving its archive; from then on every archive improvement
 // sends the current solution to the head of the list, which then rotates.
 //
-// Peer is one threaded searcher: its Collaborator, its SearchState and the
-// search it runs between exchanges — one plain TSMO step for coll, one
-// asynchronous master iteration (§III.D) for a hybrid island.
-// run_lockstep and run_islands drive a set of peers and route the solutions
-// they send.
+// Peer is one searcher: its Collaborator, its SearchState and the search
+// it runs between exchanges — one plain TSMO step for coll, one
+// asynchronous master iteration (§III.D) for a hybrid island.  One driver
+// per clock routes the solutions a set of peers send: run_lockstep and
+// run_islands on threads, run_des (src/sim) on the virtual clock; all three
+// exchange through take_in and send_target.
 
 #include <cstdint>
 #include <functional>
@@ -27,7 +28,9 @@
 #include "core/run_context.hpp"
 #include "core/search_state.hpp"
 #include "parallel/multisearch_tsmo.hpp"
+#include "util/telemetry.hpp"
 #include "util/timer.hpp"
+#include "util/trace.hpp"
 
 namespace tsmo {
 
@@ -97,6 +100,38 @@ class Peer {
   Collaborator collab;
   SearchState state;
 };
+
+/// Offers a peer's solution to `state`'s M_nondom; true when stored.
+template <typename Exchange>
+bool take_in(SearchState& state, std::shared_ptr<const Solution> sol) {
+  TSMO_COUNT(Exchange::received);
+  if (!state.receive(std::move(sol))) return false;
+  TSMO_COUNT(Exchange::accepted);
+  return true;
+}
+
+/// After an iteration: the peer that receives `peer`'s current solution,
+/// with the send traced and counted, or nullopt.
+template <typename Exchange>
+std::optional<int> send_target(Peer& peer, bool archive_improved) {
+  SearchState& state = peer.state;
+  const std::optional<int> target = peer.collab.send_target(
+      state.iterations_since_improvement(), archive_improved);
+  if (target) {
+    state.trace().record_event(RunTrace::kTagSend,
+                               static_cast<std::uint64_t>(*target),
+                               hash_objectives(state.current()->objectives()));
+    TSMO_COUNT(Exchange::sent);
+  }
+  return target;
+}
+
+/// The merged result of a collaborative run, which took `wall_seconds`
+/// (0 on the DES); ends `scope`.
+MultisearchResult finish_run(std::vector<RunResult> per_searcher,
+                             const char* engine, std::int64_t sent,
+                             std::int64_t accepted, double wall_seconds,
+                             RunScope& scope);
 
 /// Builds peer `id`; run_lockstep and run_islands attach it to the run's
 /// scope and initialize it.

@@ -2,14 +2,15 @@
 
 // Threaded hybrid of the paper's §V future work: islands of asynchronous
 // master-worker groups (§III.D) that exchange improving solutions like the
-// collaborative multisearch (§III.E).  The deterministic virtual-clock
-// counterpart is run_sim_hybrid() in src/sim.
+// collaborative multisearch (§III.E).  The virtual-clock counterpart is
+// run_sim_hybrid() in src/sim.
 //
-// Topology: `islands` master threads, each driving `procs_per_island - 1`
-// generation workers (total processors = islands * procs_per_island).
-// A free-running island drives an AsyncMaster over its own WorkerTeam,
-// as each run_sim_hybrid island drives one over the DES's virtual-clock
-// team.  Every island collaborates by the §III.E rule (Collaborator,
+// Topology: `islands` masters, each driving `procs_per_island - 1`
+// generation workers on its own WorkerTeam (total processors = islands *
+// procs_per_island).  A free-running island's master is an AsyncMaster, as
+// each run_sim_hybrid island's is on the DES's virtual-clock team; a
+// deterministic island's is the StragglerMaster async-det runs.  Every
+// island collaborates by the §III.E rule (Collaborator,
 // parallel/collaboration.hpp): it owns a full evaluation budget, perturbs
 // its parameters (island 0 keeps the base), and after its initial phase
 // sends archive improvements to one peer island at a time through a
@@ -28,9 +29,7 @@ class HybridTsmo {
   /// The free-running mode honors ctx.stall_restart for every island.
   /// Deterministic mode advances the islands in lock-step rounds
   /// (messages sent in round r arrive in round r+1, sender-ordered); each
-  /// island runs the deterministic async chunk schedule — seeded chunk
-  /// RNGs plus the seeded straggler model (kDeferProbability) — with the
-  /// chunks evaluated inline on the island's thread.
+  /// island iterates async-det's StragglerMaster on its own team threads.
   HybridTsmo(const Instance& inst, const TsmoParams& params, int islands,
              int procs_per_island, HybridOptions options = {},
              RunContext ctx = {})

@@ -20,18 +20,21 @@ namespace tsmo {
 /// One synchronous round (§III.C) on `team`'s clock: a neighborhood of
 /// `neighborhood` candidates, capped by the budget left, is split among
 /// the master and its workers, and the master selects once every
-/// worker's chunk is back.  False when the budget leaves no room.
-/// SyncTsmo's free-running mode and the DES's sim-sync run it.
-bool sync_round(SearchState& state, int neighborhood, int processors,
-                Team& team);
+/// worker's chunk is back.  nullopt when the budget leaves no room.
+/// Every sync path runs it: free-running and deterministic SyncTsmo, and
+/// the DES's sim-sync, sim-sequential (no workers) and sim-coll searchers.
+std::optional<SearchState::StepOutcome> sync_round(SearchState& state,
+                                                   int neighborhood,
+                                                   int processors,
+                                                   Team& team);
 
 class SyncTsmo : public MasterWorkerTsmo {
  public:
   using MasterWorkerTsmo::MasterWorkerTsmo;
 
-  /// Deterministic mode splits the neighborhood into a fixed balanced
-  /// `processors`-way partition whose chunks carry schedule-derived RNG
-  /// seeds, and reassembles the results in ticket order.
+  /// Deterministic mode runs the same round on a SeededTeam: chunks carry
+  /// schedule-derived RNG seeds and come back in ticket order, while the
+  /// master generates its own share from its own stream.
   RunResult run() const;
 };
 

@@ -89,6 +89,40 @@ void WorkerTeam::barrier(int chunks, const Take& take) {
   }
 }
 
+void SeededTeam::dispatch(int /*worker*/, std::shared_ptr<const Solution> base,
+                          int count) {
+  threads_->submit(
+      GenRequest{std::move(base), count, ++ticket_, schedule_.next(), true});
+  ++inflight_;
+}
+
+void SeededTeam::wait(const std::function<bool()>& /*decided*/,
+                      const Take& take) {
+  TSMO_SPAN_TIMED("async.wait", "async.wait_ns");
+  TSMO_PROFILE_FRAME("channel.wait");
+  hand_back(take);
+}
+
+void SeededTeam::barrier(int /*chunks*/, const Take& take) {
+  TSMO_SPAN_TIMED("sync.barrier", "sync.barrier_wait_ns");
+  TSMO_PROFILE_FRAME("channel.wait");
+  hand_back(take);
+}
+
+void SeededTeam::hand_back(const Take& take) {
+  std::vector<GenResult> results;
+  for (; inflight_ > 0; --inflight_) {
+    auto result = threads_->collect();
+    if (!result) break;  // team shut down (cannot happen mid-run)
+    results.push_back(std::move(*result));
+  }
+  std::sort(results.begin(), results.end(),
+            [](const GenResult& a, const GenResult& b) {
+              return a.ticket < b.ticket;
+            });
+  for (GenResult& r : results) take(r);
+}
+
 RunResult MasterWorkerTsmo::run_master(
     const char* span, bool stall_restart,
     const std::function<void(SearchState&, WorkerTeam&)>& search) const {

@@ -7,12 +7,13 @@
 // back GenResults.  Bases travel as shared_ptr<const Solution>, which is
 // safe to read concurrently.
 //
-// Team is what the two masters — sync_round (§III.C) and AsyncMaster
-// (§III.D, Algorithm 2) — see of their workers and of the clock they wait
-// on.  WorkerTeam is the team on the wall clock; the DES's team runs
-// simulated workers on a virtual clock (src/sim), so both clocks run the
-// same masters.  MasterWorkerTsmo is the set-up SyncTsmo and AsyncTsmo
-// share around their master.
+// Team is what the masters — sync_round (§III.C), AsyncMaster (§III.D,
+// Algorithm 2) and deterministic mode's StragglerMaster — see of their
+// workers and of the clock they wait on.  WorkerTeam is the team on the
+// wall clock; SeededTeam runs deterministic mode's chunks on a WorkerTeam's
+// threads; the DES's team runs simulated workers on a virtual clock
+// (src/sim).  MasterWorkerTsmo is the set-up SyncTsmo and AsyncTsmo share
+// around their master.
 
 #include <algorithm>
 #include <atomic>
@@ -159,6 +160,44 @@ class WorkerTeam final : public Team {
   std::atomic<ConvergenceRecorder*> recorder_{nullptr};
   std::vector<int> heartbeat_slots_;
   std::vector<std::thread> threads_;
+};
+
+/// Deterministic mode's team (DESIGN.md §7): every chunk runs on one of
+/// `threads`' workers from a fresh Rng seeded at dispatch from the
+/// schedule stream, and the wait and the barrier both hand back every
+/// chunk in flight in ticket order — so the pool depends neither on
+/// arrival order nor on how many threads run it.  `workers` is the logical
+/// team width sync_round splits the neighborhood for; any thread runs any
+/// chunk.
+class SeededTeam final : public Team {
+ public:
+  SeededTeam(WorkerTeam& threads, int workers, std::uint64_t schedule_seed)
+      : threads_(&threads), workers_(workers), schedule_(schedule_seed) {}
+
+  int num_workers() const noexcept override { return workers_; }
+  void dispatch(int worker, std::shared_ptr<const Solution> base,
+                int count) override;
+  /// Nothing is handed back before the wait or the barrier.
+  void collect_arrived(const Take& /*take*/) override {}
+  /// Every chunk completes: the seeded straggler model, not arrival,
+  /// decides which ones are late, so `decided` is not consulted.
+  void wait(const std::function<bool()>& decided, const Take& take) override;
+  void barrier(int chunks, const Take& take) override;
+
+  /// The stream chunk seeds are drawn from; the straggler master draws its
+  /// deferral chances from it too.
+  Rng& schedule() noexcept { return schedule_; }
+  /// The ticket of the last chunk dispatched (tickets count from 1).
+  std::uint64_t last_ticket() const noexcept { return ticket_; }
+
+ private:
+  void hand_back(const Take& take);
+
+  WorkerTeam* threads_;
+  int workers_;
+  Rng schedule_;
+  std::uint64_t ticket_ = 0;
+  int inflight_ = 0;
 };
 
 /// What SyncTsmo and AsyncTsmo share: their inputs and one set-up for

@@ -192,19 +192,6 @@ RunResult sim_result(const SearchState& state, const char* engine,
   return r;
 }
 
-/// The result of a collaborative run on the virtual clock; ends `scope`.
-MultisearchResult merged_result(std::vector<RunResult> per_searcher,
-                                const char* engine, std::int64_t sent,
-                                std::int64_t accepted, RunScope& scope) {
-  MultisearchResult result;
-  result.per_searcher = std::move(per_searcher);
-  result.merged = merge_results(result.per_searcher, engine);
-  scope.finish(result.merged.iterations);
-  result.messages_sent = sent;
-  result.messages_accepted = accepted;
-  return result;
-}
-
 /// SyncTsmo's rounds on the virtual clock until the budget is spent.
 auto sync_rounds(int neighborhood, int procs) {
   return [=](SearchState& state, SimTeam& team) {
@@ -235,6 +222,119 @@ RunResult run_on_virtual_clock(
   team.export_gauges(team.now());
   scope.finish(state.iterations());
   return sim_result(state, span + 4, team.now());  // the name after "run."
+}
+
+/// A collaborating searcher on the DES, timed on its own SimTeam: a
+/// sim-coll searcher's team has no workers and its iteration is
+/// sim-sequential's round (one TSMO step); a sim-hybrid island's is one
+/// AsyncMaster iteration over `procs - 1` workers.
+class SimPeer final : public Peer {
+ public:
+  SimPeer(const Instance& inst, const TsmoParams& base, int id, int peers,
+          std::uint64_t salt, int procs, const CostModel& cost,
+          std::shared_ptr<const CandidateList> cands)
+      : Peer(inst, base, id, peers, salt, cands),
+        team(inst, collab.params(), procs, cost,
+             collab.params().seed ^ 0xa57cULL, std::move(cands)) {
+    if (procs > 1) master_.emplace(state, procs, team);
+  }
+
+  std::optional<SearchState::StepOutcome> iterate() override {
+    if (master_) return master_->iterate();
+    return sync_round(state, collab.params().neighborhood_size, 1, team);
+  }
+
+  /// One iteration that starts at DES time `now`, after `dt` µs of
+  /// reception; adds the iteration's charges to `dt`.  An island's workers
+  /// finish at DES times, so its team runs on the DES clock; a team
+  /// without workers leaves nothing in flight and times the step from 0.
+  std::optional<SearchState::StepOutcome> step(double now, double& dt) {
+    const double origin = master_ ? now : 0.0;
+    team.start_at(origin + dt);
+    const auto outcome = iterate();
+    dt = team.now() - origin;
+    return outcome;
+  }
+
+  SimTeam team;
+
+ private:
+  std::optional<AsyncMaster> master_;
+};
+
+/// Collaboration (§III.E) on the DES: `peers` SimPeers of `procs`
+/// processors each interleave on one virtual timeline, one event per
+/// iteration.  A step's reception, evaluation and selection costs are
+/// summed, then scaled by the memory contention of `peers` searchers; a
+/// sent solution arrives one message latency after the send completes.
+/// The first steps start after the initial construction; a searcher
+/// finishes at the time of the step that finds its budget spent.
+template <typename Exchange>
+MultisearchResult run_des(const char* span, const Instance& inst,
+                          const TsmoParams& params, int peers, int procs,
+                          const CostModel& cost, const RunContext& ctx) {
+  RunScope scope(span, params, ctx, peers, peers * (procs - 1));
+  const char* engine = span + 4;  // the name after "run."
+  const double contention = cost.contention_factor(peers);
+  // candidate_k is never perturbed, so every searcher shares one list.
+  const auto cands = make_candidate_list(inst, params.candidate_k);
+  struct Slot {
+    std::unique_ptr<SimPeer> peer;
+    std::vector<std::shared_ptr<const Solution>> mailbox;
+    double finish = 0.0;
+  };
+  std::vector<Slot> slots(static_cast<std::size_t>(peers));
+  for (int id = 0; id < peers; ++id) {
+    Slot& s = slots[static_cast<std::size_t>(id)];
+    s.peer = std::make_unique<SimPeer>(inst, params, id, peers,
+                                       Exchange::salt, procs, cost, cands);
+    scope.attach(s.peer->state, id);
+    s.peer->state.initialize();
+  }
+  std::int64_t sent = 0, accepted = 0;
+
+  Simulation sim;
+  std::function<void(int)> step = [&](int id) {
+    Slot& s = slots[static_cast<std::size_t>(id)];
+    SimPeer& peer = *s.peer;
+    double dt = 0.0;
+    std::optional<SearchState::StepOutcome> outcome;
+    if (!peer.state.budget_exhausted()) {
+      for (std::shared_ptr<const Solution>& sol : s.mailbox) {
+        dt += cost.msg_us;  // reception handling
+        if (take_in<Exchange>(peer.state, std::move(sol))) ++accepted;
+      }
+      s.mailbox.clear();
+      outcome = peer.step(sim.now(), dt);
+    }
+    if (!outcome) {
+      s.finish = sim.now();
+      return;
+    }
+    dt *= contention;
+    if (const auto target =
+            send_target<Exchange>(peer, outcome->archive_improved)) {
+      dt += cost.msg_us + cost.transfer_solution_us;
+      ++sent;
+      sim.schedule_after(dt + cost.msg_us,
+                         [&, to = *target, sol = peer.state.current()] {
+                           slots[static_cast<std::size_t>(to)]
+                               .mailbox.push_back(sol);
+                         });
+    }
+    sim.schedule_after(dt, [&, id] { step(id); });
+  };
+  for (int id = 0; id < peers; ++id) {
+    sim.schedule_at(cost.eval_us * contention, [&, id] { step(id); });
+  }
+  sim.run();
+
+  std::vector<RunResult> results;
+  for (const Slot& s : slots) {
+    s.peer->team.export_gauges(s.finish);
+    results.push_back(sim_result(s.peer->state, engine, s.finish));
+  }
+  return finish_run(std::move(results), engine, sent, accepted, 0.0, scope);
 }
 
 }  // namespace
@@ -277,192 +377,21 @@ RunResult run_sim_async(const Instance& inst, const TsmoParams& params,
       });
 }
 
-// ---------------------------------------------------------------------------
-// Collaborative multisearch on the DES
-// ---------------------------------------------------------------------------
-
 MultisearchResult run_sim_multisearch(const Instance& inst,
                                       const TsmoParams& params,
-                                      int processors,
-                                      const CostModel& cost,
+                                      int processors, const CostModel& cost,
                                       const RunContext& ctx) {
-  const int procs = std::max(2, processors);
-  RunScope scope("run.sim-coll", params, ctx, procs, 0);
-  const auto n = static_cast<std::size_t>(procs);
-  const double contention = cost.contention_factor(procs);
-
-  struct CollSearcher {
-    Collaborator collab;
-    std::unique_ptr<SearchState> state;
-    std::vector<std::shared_ptr<const Solution>> mailbox;
-    double finish_time = 0.0;
-  };
-  std::vector<CollSearcher> searchers;
-  searchers.reserve(n);
-  std::int64_t messages_sent = 0, messages_accepted = 0;
-  // candidate_k is never perturbed, so every searcher shares one list.
-  const auto cands = make_candidate_list(inst, params.candidate_k);
-
-  for (int id = 0; id < procs; ++id) {
-    Collaborator collab(params, id, procs, CollExchange::salt);
-    auto state = std::make_unique<SearchState>(
-        inst, collab.params(), Rng(collab.params().seed), cands);
-    scope.attach(*state, id);
-    state->initialize();
-    searchers.push_back({std::move(collab), std::move(state), {}, 0.0});
-  }
-
-  Simulation sim;
-  // One self-rescheduling "iteration" event per searcher.
-  std::function<void(int)> do_step = [&](int id) {
-    auto& s = searchers[static_cast<std::size_t>(id)];
-    if (s.state->budget_exhausted()) {
-      s.finish_time = sim.now();
-      return;
-    }
-    double dt = 0.0;
-    for (std::shared_ptr<const Solution>& incoming : s.mailbox) {
-      dt += cost.msg_us;  // reception handling
-      if (s.state->receive(std::move(incoming))) ++messages_accepted;
-    }
-    s.mailbox.clear();
-
-    const TsmoParams& p = s.collab.params();
-    const int want = static_cast<int>(std::min<std::int64_t>(
-        p.neighborhood_size, p.max_evaluations - s.state->evaluations()));
-    if (want <= 0) {
-      s.finish_time = sim.now();
-      return;
-    }
-    const auto candidates = s.state->generate_candidates(want);
-    const auto outcome = s.state->step_with_candidates(candidates);
-    dt += static_cast<double>(candidates.size()) * cost.eval_us;
-    dt += selection_cost(candidates.size(), cost);
-    dt *= contention;
-
-    if (const auto target = s.collab.send_target(
-            s.state->iterations_since_improvement(),
-            outcome.archive_improved)) {
-      dt += cost.msg_us + cost.transfer_solution_us;
-      ++messages_sent;
-      std::shared_ptr<const Solution> payload = s.state->current();
-      sim.schedule_after(dt + cost.msg_us,
-                         [&, to = *target, payload = std::move(payload)] {
-                           searchers[static_cast<std::size_t>(to)]
-                               .mailbox.push_back(payload);
-                         });
-    }
-    sim.schedule_after(dt, [&, id] { do_step(id); });
-  };
-
-  const double init_cost = cost.eval_us * contention;
-  for (int id = 0; id < procs; ++id) {
-    sim.schedule_at(init_cost, [&, id] { do_step(id); });
-  }
-  sim.run();
-
-  std::vector<RunResult> results;
-  for (const auto& s : searchers) {
-    results.push_back(sim_result(*s.state, "sim-coll", s.finish_time));
-  }
-  return merged_result(std::move(results), "sim-coll", messages_sent,
-                       messages_accepted, scope);
+  return run_des<CollExchange>("run.sim-coll", inst, params,
+                               std::max(2, processors), 1, cost, ctx);
 }
-
-// ---------------------------------------------------------------------------
-// Hybrid (future work §V): collaborating asynchronous islands
-// ---------------------------------------------------------------------------
 
 MultisearchResult run_sim_hybrid(const Instance& inst,
                                  const TsmoParams& params, int islands,
-                                 int procs_per_island,
-                                 const CostModel& cost,
+                                 int procs_per_island, const CostModel& cost,
                                  const RunContext& ctx) {
-  const int k = std::max(2, islands);
-  const int procs = std::max(2, procs_per_island);
-  RunScope scope("run.sim-hybrid", params, ctx, k, k * (procs - 1));
-  const auto n = static_cast<std::size_t>(k);
-  const double contention = cost.contention_factor(k);
-
-  // An island is AsyncMaster over its own SimTeam, like sim-async.
-  struct Island {
-    Island(const Instance& inst, const TsmoParams& base, int id, int k,
-           int procs, const CostModel& cost,
-           const std::shared_ptr<const CandidateList>& cands)
-        : collab(base, id, k, HybridExchange::salt),
-          state(inst, collab.params(), Rng(collab.params().seed), cands),
-          team(inst, collab.params(), procs, cost,
-               collab.params().seed ^ 0xa57cULL, cands),
-          master(state, procs, team) {}
-    Collaborator collab;
-    SearchState state;
-    SimTeam team;
-    AsyncMaster master;
-    std::vector<std::shared_ptr<const Solution>> mailbox;
-    double finish_time = 0.0;
-  };
-  std::vector<std::unique_ptr<Island>> nodes;
-  nodes.reserve(n);
-  std::int64_t messages_sent = 0, messages_accepted = 0;
-  // candidate_k is never perturbed, so every island shares one list.
-  const auto cands = make_candidate_list(inst, params.candidate_k);
-
-  for (int id = 0; id < k; ++id) {
-    nodes.push_back(
-        std::make_unique<Island>(inst, params, id, k, procs, cost, cands));
-    scope.attach(nodes.back()->state, id);
-    nodes.back()->state.initialize();
-  }
-
-  Simulation sim;
-  std::function<void(int)> do_step = [&](int id) {
-    Island& isl = *nodes[static_cast<std::size_t>(id)];
-    if (isl.state.budget_exhausted()) {
-      isl.finish_time = sim.now();
-      return;
-    }
-    double extra = 0.0;
-    for (std::shared_ptr<const Solution>& incoming : isl.mailbox) {
-      extra += cost.msg_us;
-      if (isl.state.receive(std::move(incoming))) ++messages_accepted;
-    }
-    isl.mailbox.clear();
-
-    isl.team.start_at(sim.now() + extra);
-    const auto step = isl.master.iterate();
-    if (!step) {
-      isl.finish_time = isl.team.now();
-      return;
-    }
-    double end = sim.now() + (isl.team.now() - sim.now()) * contention;
-
-    if (const auto target = isl.collab.send_target(
-            isl.state.iterations_since_improvement(),
-            step->archive_improved)) {
-      end += cost.msg_us + cost.transfer_solution_us;
-      ++messages_sent;
-      std::shared_ptr<const Solution> payload = isl.state.current();
-      sim.schedule_at(end + cost.msg_us,
-                      [&, to = *target, payload = std::move(payload)] {
-                        nodes[static_cast<std::size_t>(to)]
-                            ->mailbox.push_back(payload);
-                      });
-    }
-    sim.schedule_at(end, [&, id] { do_step(id); });
-  };
-
-  for (int id = 0; id < k; ++id) {
-    sim.schedule_at(cost.eval_us, [&, id] { do_step(id); });
-  }
-  sim.run();
-
-  std::vector<RunResult> results;
-  for (const auto& isl : nodes) {
-    isl->team.export_gauges(isl->finish_time);
-    results.push_back(sim_result(isl->state, "sim-hybrid", isl->finish_time));
-  }
-  return merged_result(std::move(results), "sim-hybrid", messages_sent,
-                       messages_accepted, scope);
+  return run_des<HybridExchange>("run.sim-hybrid", inst, params,
+                                 std::max(2, islands),
+                                 std::max(2, procs_per_island), cost, ctx);
 }
 
 }  // namespace tsmo

@@ -3,19 +3,21 @@
 // Simulated executions of the four algorithms on a virtual clock.
 //
 // These drivers run the REAL search code (the same SearchState /
-// MoveEngine / memories as the threaded implementations, and for sync and
-// async the threaded engines' own masters, sync_round and AsyncMaster, on
-// a virtual-clock Team); the CostModel only determines how much virtual
-// time each piece of work consumes and hence *when worker results become
-// visible to the master* — exactly the mechanism that separates the
-// synchronous, asynchronous and collaborative strategies in the paper.
-// Results carry the virtual runtime in RunResult::sim_seconds; the
-// speedup columns of Tables I-IV are Ts_sim / Tp_sim.
+// MoveEngine / memories as the threaded implementations, and the threaded
+// engines' own masters, sync_round and AsyncMaster, on a virtual-clock
+// Team); the CostModel only determines how much virtual time each piece
+// of work consumes and hence *when worker results become visible to the
+// master* — exactly the mechanism that separates the synchronous,
+// asynchronous and collaborative strategies in the paper.  sim-coll and
+// sim-hybrid are one DES collaboration driver over the threaded engines'
+// Collaborator and Peer.  Results carry the virtual runtime in
+// RunResult::sim_seconds; the speedup columns of Tables I-IV are
+// Ts_sim / Tp_sim.
 //
 // Everything here is deterministic in (instance, params, processors, seed).
 // Each driver takes a RunContext like the threaded engines; its searchers
-// attach to the recorder under their index, while their trace ids stay 0
-// so fingerprints do not depend on the context.
+// attach to the recorder under their index, which is also their trace id,
+// as on threads.
 
 #include <functional>
 
@@ -72,8 +74,9 @@ RunResult run_sim_async(const Instance& inst, const TsmoParams& params,
                         const RunContext& ctx = {});
 
 /// Collaborative multisearch (§III.E) on a discrete-event simulation:
-/// searchers interleave on the virtual timeline and solution messages are
-/// delivered with latency (coll-det delivers them a lock-step round later).
+/// searchers, each taking one TSMO step per event, interleave on the
+/// virtual timeline and solution messages are delivered with latency
+/// (coll-det delivers them a lock-step round later).
 MultisearchResult run_sim_multisearch(const Instance& inst,
                                       const TsmoParams& params,
                                       int processors, const CostModel& cost,
@@ -81,7 +84,7 @@ MultisearchResult run_sim_multisearch(const Instance& inst,
 
 /// The paper's future-work hybrid (§V): `islands` collaborative islands,
 /// each an AsyncMaster over `procs_per_island` processors, exchanging
-/// improving solutions like the multisearch TS.
+/// improving solutions on run_sim_multisearch's timeline.
 MultisearchResult run_sim_hybrid(const Instance& inst,
                                  const TsmoParams& params, int islands,
                                  int procs_per_island,

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include "parallel/async_tsmo.hpp"
+#include "parallel/collaboration.hpp"
+#include "parallel/hybrid_tsmo.hpp"
 #include "parallel/sync_tsmo.hpp"
 #include "sim/sim_tsmo.hpp"
 #include "vrptw/generator.hpp"
@@ -67,6 +70,34 @@ TEST(CrossImplementation, StragglerNoiseCannotChangeSingleWorkerResults) {
   const RunResult b = run_sim_sync(inst, params, 2, wild);
   EXPECT_EQ(a.front, b.front);
   EXPECT_NE(a.sim_seconds, b.sim_seconds);  // timing does differ
+}
+
+TEST(CrossImplementation, HybridDetIslandWithoutExchangeIsAsyncDet) {
+  // With restart_after above the run's iteration count no island leaves
+  // its initial phase, so no message flows, and island 0 is async-det on
+  // island 0's parameters: one straggler master, one stream, one draw
+  // order, its chunks on the island's own team threads.
+  const Instance inst = generate_named("R1_1_1");
+  for (int candidate_k : {0, 16}) {
+    TsmoParams base = test_params(3000);  // 50 iterations
+    base.restart_after = 1000;
+    base.candidate_k = candidate_k;
+    base.trace = true;
+    ParallelOptions det;
+    det.deterministic = true;
+    const MultisearchResult hybrid = HybridTsmo(inst, base, 2, 3, det).run();
+    EXPECT_EQ(hybrid.messages_sent, 0);
+    const TsmoParams island0 =
+        Collaborator(base, 0, 2, HybridExchange::salt).params();
+    const RunResult async = AsyncTsmo(inst, island0, 3, det).run();
+    const RunResult& island = hybrid.per_searcher.front();
+    EXPECT_NE(async.trace_fingerprint, 0u);
+    EXPECT_EQ(island.trace_fingerprint, async.trace_fingerprint)
+        << "candidate_k " << candidate_k;
+    EXPECT_EQ(island.archive_fingerprint, async.archive_fingerprint)
+        << "candidate_k " << candidate_k;
+    EXPECT_EQ(island.evaluations, async.evaluations);
+  }
 }
 
 }  // namespace

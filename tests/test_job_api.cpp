@@ -265,9 +265,11 @@ TEST(JobApi, OversizedInputsFailTheJobNamingTheField) {
       "{\"instance\": \"R1_1_1\", \"algorithm\": \"sync\", "
       "\"processors\": 100000}",
       "processors: 100000 is outside [0, 64]");
-  // 4294967496 is 200 after a silent int truncation.
-  for (const char* field : {"neighborhood", "tenure", "archive",
-                            "restart_after", "candidate_k", "profile_hz"}) {
+  // 4294967496 is 200 after a silent int truncation; as an evaluation
+  // budget it would run for hours.
+  for (const char* field :
+       {"evaluations", "neighborhood", "tenure", "archive", "restart_after",
+        "candidate_k", "profile_hz"}) {
     expect_failed(std::string("{\"instance\": \"R1_1_1\", \"params\": "
                               "{\"") +
                       field + "\": 4294967496}}",
@@ -276,6 +278,11 @@ TEST(JobApi, OversizedInputsFailTheJobNamingTheField) {
   expect_failed(
       "{\"instance\": \"R1_1_1\", \"params\": {\"neighborhood\": 1e300}}",
       "params.neighborhood: 9223372036854775807 is outside");
+  // Saturates to 2^63 - 1: a job that runs until cancelled.
+  expect_failed(
+      "{\"instance\": \"R1_1_1\", \"algorithm\": \"seq\", \"params\": "
+      "{\"evaluations\": 1e300, \"neighborhood\": 40}}",
+      "params.evaluations: 9223372036854775807 is outside [0, 1000000000]");
   // 200 000 customers: a 320 GB distance matrix.
   expect_failed("{\"instance\": \"R1_2000_1\"}",
                 "instance: R1_2000_1 has 200000 customers, above the job "

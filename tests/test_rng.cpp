@@ -6,7 +6,11 @@
 #include <array>
 #include <cmath>
 #include <set>
+#include <string>
+#include <unordered_set>
 #include <vector>
+
+#include "parallel/collaboration.hpp"
 
 namespace tsmo {
 namespace {
@@ -163,6 +167,88 @@ TEST(Rng, SatisfiesUniformRandomBitGenerator) {
   static_assert(std::uniform_random_bit_generator<Rng>);
   EXPECT_EQ(Rng::min(), 0u);
   EXPECT_EQ(Rng::max(), ~0ULL);
+}
+
+// Stream independence at P = 128, for each derivation the parallel
+// engines use.  The paper's P is at most 12.
+constexpr int kStreams = 128;
+constexpr int kDraws = 4096;
+constexpr std::uint64_t kStreamSeeds[] = {1, 7, 101, 7919};
+
+/// No 64-bit output repeats across all streams' first kDraws draws, and
+/// no two streams' uniforms correlate beyond 6/sqrt(kDraws): six standard
+/// errors of the correlation of independent streams.
+void expect_independent(std::vector<Rng> streams, const std::string& what) {
+  ASSERT_EQ(streams.size(), static_cast<std::size_t>(kStreams));
+  std::unordered_set<std::uint64_t> seen;
+  seen.reserve(static_cast<std::size_t>(kStreams) * kDraws);
+  // Each stream's uniforms, centred and scaled to unit norm, so a dot
+  // product is a Pearson correlation.
+  std::vector<std::vector<double>> z(kStreams, std::vector<double>(kDraws));
+  for (int s = 0; s < kStreams; ++s) {
+    double mean = 0.0;
+    for (double& u : z[static_cast<std::size_t>(s)]) {
+      const std::uint64_t x = streams[static_cast<std::size_t>(s)].next();
+      EXPECT_TRUE(seen.insert(x).second) << what << ": output repeats";
+      u = static_cast<double>(x >> 11) * 0x1.0p-53;
+      mean += u;
+    }
+    mean /= kDraws;
+    double norm = 0.0;
+    for (double& u : z[static_cast<std::size_t>(s)]) {
+      u -= mean;
+      norm += u * u;
+    }
+    for (double& u : z[static_cast<std::size_t>(s)]) u /= std::sqrt(norm);
+  }
+  const double bound = 6.0 / std::sqrt(static_cast<double>(kDraws));
+  double worst = 0.0;
+  for (int a = 0; a < kStreams; ++a) {
+    for (int b = a + 1; b < kStreams; ++b) {
+      double r = 0.0;
+      for (int i = 0; i < kDraws; ++i) {
+        r += z[static_cast<std::size_t>(a)][static_cast<std::size_t>(i)] *
+             z[static_cast<std::size_t>(b)][static_cast<std::size_t>(i)];
+      }
+      worst = std::max(worst, std::abs(r));
+    }
+  }
+  EXPECT_LT(worst, bound) << what;
+}
+
+TEST(RngStreams, SplitWorkerStreamsIndependentAt128) {
+  // WorkerTeam's and SimTeam's workers: split() from seed ^ 0x5eedF00d.
+  for (std::uint64_t seed : kStreamSeeds) {
+    Rng master(seed ^ 0x5eedF00dULL);
+    std::vector<Rng> streams;
+    for (int i = 0; i < kStreams; ++i) streams.push_back(master.split());
+    expect_independent(streams, "split, seed " + std::to_string(seed));
+  }
+}
+
+TEST(RngStreams, CollaboratorStreamsIndependentAt128) {
+  // Collaborator's searcher streams: seed + id * salt, an offset rather
+  // than a jump, for coll's and the hybrid's salts.
+  for (std::uint64_t salt : {CollExchange::salt, HybridExchange::salt}) {
+    for (std::uint64_t seed : kStreamSeeds) {
+      std::vector<Rng> streams;
+      for (std::uint64_t id = 0; id < kStreams; ++id) {
+        streams.emplace_back(seed + id * salt);
+      }
+      expect_independent(streams, "salt " + std::to_string(salt) +
+                                      ", seed " + std::to_string(seed));
+    }
+  }
+}
+
+TEST(RngStreams, ChunkStreamsIndependentAt128) {
+  // Deterministic mode's chunks: Rng(schedule.next()) per chunk.
+  for (std::uint64_t seed : kStreamSeeds) {
+    Rng schedule(seed);
+    std::vector<Rng> streams;
+    for (int i = 0; i < kStreams; ++i) streams.emplace_back(schedule.next());
+    expect_independent(streams, "chunks, seed " + std::to_string(seed));
+  }
 }
 
 }  // namespace

@@ -121,16 +121,42 @@ TEST_F(WorkerTeamTest, SeededRequestsIndependentOfTeamSize) {
               });
     return results;
   };
-  const auto one = run_with(1);
-  const auto four = run_with(4);
-  ASSERT_EQ(one.size(), four.size());
-  for (std::size_t r = 0; r < one.size(); ++r) {
-    ASSERT_EQ(one[r].candidates.size(), four[r].candidates.size());
-    for (std::size_t c = 0; c < one[r].candidates.size(); ++c) {
-      EXPECT_EQ(one[r].candidates[c].move, four[r].candidates[c].move);
-      EXPECT_EQ(one[r].candidates[c].obj, four[r].candidates[c].obj);
+  // Deterministic mode's SeededTeam over the threads: chunks seeded at
+  // dispatch reach the master in ticket order, at the barrier and at the
+  // wait alike.
+  auto seeded_with = [&](int threads) {
+    WorkerTeam workers(inst_, threads, /*seed=*/1234 + threads);
+    SeededTeam team(workers, 3, 0xabc0ffee00ULL);
+    std::vector<GenResult> results;
+    const Team::Take take = [&](GenResult& r) {
+      results.push_back(std::move(r));
+    };
+    for (int c = 0; c < 6; ++c) team.dispatch(c % 3, b, 15);
+    team.barrier(6, take);
+    for (int c = 0; c < 3; ++c) team.dispatch(c, b, 15);
+    team.wait([] { return true; }, take);
+    EXPECT_EQ(team.last_ticket(), 9u);
+    for (std::size_t r = 0; r < results.size(); ++r) {
+      EXPECT_EQ(results[r].ticket, r + 1) << threads << " threads";
     }
-  }
+    return results;
+  };
+  const auto expect_same = [](const std::vector<GenResult>& x,
+                              const std::vector<GenResult>& y) {
+    ASSERT_EQ(x.size(), y.size());
+    for (std::size_t r = 0; r < x.size(); ++r) {
+      ASSERT_EQ(x[r].candidates.size(), y[r].candidates.size());
+      for (std::size_t c = 0; c < x[r].candidates.size(); ++c) {
+        EXPECT_EQ(x[r].candidates[c].move, y[r].candidates[c].move);
+        EXPECT_EQ(x[r].candidates[c].obj, y[r].candidates[c].obj);
+      }
+    }
+  };
+  expect_same(run_with(1), run_with(4));
+  const auto seeded = seeded_with(1);
+  EXPECT_EQ(seeded.size(), 9u);
+  expect_same(seeded, seeded_with(2));
+  expect_same(seeded, seeded_with(4));
 }
 
 TEST_F(WorkerTeamTest, ChurnConcurrentSubmittersShutdownMidFlight) {
