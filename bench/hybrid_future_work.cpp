@@ -60,21 +60,12 @@ int main() {
       if (var.islands == 0) {
         result = run_sim_async(inst, p, var.procs_per_island, cost);
       } else if (var.islands < 0) {
-        MultisearchResult m =
-            run_sim_multisearch(inst, p, var.procs_per_island, cost);
-        for (const RunResult& s : m.per_searcher) {
-          m.merged.sim_seconds =
-              std::max(m.merged.sim_seconds, s.sim_seconds);
-        }
-        result = std::move(m.merged);
+        result = run_sim_multisearch(inst, p, var.procs_per_island, cost)
+                     .merged;
       } else {
-        MultisearchResult m = run_sim_hybrid(
-            inst, p, var.islands, var.procs_per_island, cost);
-        for (const RunResult& s : m.per_searcher) {
-          m.merged.sim_seconds =
-              std::max(m.merged.sim_seconds, s.sim_seconds);
-        }
-        result = std::move(m.merged);
+        result = run_sim_hybrid(inst, p, var.islands, var.procs_per_island,
+                                cost)
+                     .merged;
       }
       fronts[v].push_back(result.feasible_front());
       t.add(result.sim_seconds);

@@ -36,11 +36,8 @@ int main() {
   for (int p : {2, 3, 4, 6, 8, 12, 16}) {
     const RunResult sy = run_sim_sync(inst, params, p, cost);
     const RunResult as = run_sim_async(inst, params, p, cost);
-    MultisearchResult co = run_sim_multisearch(inst, params, p, cost);
-    double coll_t = 0.0;
-    for (const RunResult& s : co.per_searcher) {
-      coll_t = std::max(coll_t, s.sim_seconds);
-    }
+    const MultisearchResult co = run_sim_multisearch(inst, params, p, cost);
+    const double coll_t = co.merged.sim_seconds;
     auto pct = [&](double t) {
       return fmt_percent(seq.sim_seconds / t - 1.0);
     };

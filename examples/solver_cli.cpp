@@ -109,9 +109,6 @@ RunResult solve(const std::string& algorithm, const Instance& inst,
     MultisearchResult r =
         simulate ? run_sim_multisearch(inst, params, processors, cost, ctx)
                  : MultisearchTsmo(inst, params, processors, {}, ctx).run();
-    for (const RunResult& s : r.per_searcher) {
-      r.merged.sim_seconds = std::max(r.merged.sim_seconds, s.sim_seconds);
-    }
     return std::move(r.merged);
   }
   if (algorithm == "hybrid") {
@@ -119,9 +116,6 @@ RunResult solve(const std::string& algorithm, const Instance& inst,
     MultisearchResult r =
         simulate ? run_sim_hybrid(inst, params, 2, per_island, cost, ctx)
                  : HybridTsmo(inst, params, 2, per_island, {}, ctx).run();
-    for (const RunResult& s : r.per_searcher) {
-      r.merged.sim_seconds = std::max(r.merged.sim_seconds, s.sim_seconds);
-    }
     return std::move(r.merged);
   }
   if (algorithm == "nsga2") {

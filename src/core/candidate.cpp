@@ -1,5 +1,6 @@
 #include "core/candidate.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace tsmo {
@@ -33,17 +34,25 @@ std::shared_ptr<const Solution> materialize(const MoveEngine& engine,
 
 std::vector<std::size_t> nondominated_indices(
     const std::vector<Candidate>& candidates) {
-  std::vector<std::size_t> out;
+  // One pass over a running front: a candidate that a member equals or
+  // dominates is dropped, otherwise it evicts the members it dominates and
+  // joins.  Members stay in scan order, so the front is ascending, and an
+  // equal vector seen later never displaces the first.
+  std::vector<std::size_t> front;
   for (std::size_t i = 0; i < candidates.size(); ++i) {
-    bool keep = true;
-    for (std::size_t j = 0; j < candidates.size() && keep; ++j) {
-      if (j == i) continue;
-      if (dominates(candidates[j].obj, candidates[i].obj)) keep = false;
-      if (j < i && candidates[j].obj == candidates[i].obj) keep = false;
-    }
-    if (keep) out.push_back(i);
+    const Objectives& o = candidates[i].obj;
+    const bool covered =
+        std::any_of(front.begin(), front.end(), [&](std::size_t f) {
+          const Objectives& m = candidates[f].obj;
+          return m == o || dominates(m, o);
+        });
+    if (covered) continue;
+    std::erase_if(front, [&](std::size_t f) {
+      return dominates(o, candidates[f].obj);
+    });
+    front.push_back(i);
   }
-  return out;
+  return front;
 }
 
 }  // namespace tsmo

@@ -57,8 +57,9 @@ struct LazySolution {
 std::shared_ptr<const Solution> materialize(const MoveEngine& engine,
                                             const LazySolution& s);
 
-/// Indices of the non-dominated members of `candidates` (first occurrence
-/// wins among duplicates).
+/// Indices of the non-dominated members of `candidates`, ascending (first
+/// occurrence wins among duplicates).  One pass over a running front:
+/// O(n F) for a front of F members.
 std::vector<std::size_t> nondominated_indices(
     const std::vector<Candidate>& candidates);
 

@@ -64,29 +64,14 @@ RunResult run_algorithm(const AlgoConfig& algo, const Instance& inst,
       return run_sim_sync(inst, params, algo.processors, cost);
     case AlgoKind::Async:
       return run_sim_async(inst, params, algo.processors, cost);
-    case AlgoKind::Coll: {
-      MultisearchResult r =
-          run_sim_multisearch(inst, params, algo.processors, cost);
-      // Runtime of the parallel composition: the last searcher to finish.
-      double finish = 0.0;
-      for (const RunResult& s : r.per_searcher) {
-        finish = std::max(finish, s.sim_seconds);
-      }
-      r.merged.sim_seconds = finish;
-      return std::move(r.merged);
-    }
+    // The merged result's runtime is already the last searcher's finish.
+    case AlgoKind::Coll:
+      return run_sim_multisearch(inst, params, algo.processors, cost).merged;
     case AlgoKind::Hybrid: {
       const int islands = algo.islands > 0 ? algo.islands : 2;
       const int per_island =
           std::max(2, algo.processors / std::max(islands, 1));
-      MultisearchResult r =
-          run_sim_hybrid(inst, params, islands, per_island, cost);
-      double finish = 0.0;
-      for (const RunResult& s : r.per_searcher) {
-        finish = std::max(finish, s.sim_seconds);
-      }
-      r.merged.sim_seconds = finish;
-      return std::move(r.merged);
+      return run_sim_hybrid(inst, params, islands, per_island, cost).merged;
     }
   }
   throw std::logic_error("run_algorithm: unknown algorithm kind");

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <cstdlib>
+#include <utility>
 
 #include "util/profiler.hpp"
 #include "util/telemetry.hpp"
@@ -16,6 +17,15 @@ int at_or_depot(const std::vector<int>& route, int pos) {
   return pos >= 0 && pos < static_cast<int>(route.size())
              ? route[static_cast<std::size_t>(pos)]
              : 0;
+}
+
+/// Load of `route` through position p - 1, 0 for p == 0 (the route is not
+/// empty): one read of the cumulative-load cache, bitwise equal to the
+/// demand sum it replaces, and a select.
+double prefix_load(const Solution& base, int route, int p) {
+  const double through =
+      base.route_cache(route).cum_load(std::max(p - 1, 0));
+  return p > 0 ? through : 0.0;
 }
 
 }  // namespace
@@ -56,76 +66,114 @@ bool MoveEngine::applicable(const Solution& base, const Move& m) const {
 // Local feasibility (paper §II.B)
 // ---------------------------------------------------------------------------
 
+inline bool MoveEngine::relocate_fits(int c, double load2) const noexcept {
+  const double dc = inst_->soa().demand[static_cast<std::size_t>(c)];
+  return !(load2 + dc > inst_->capacity());
+}
+
+inline bool MoveEngine::relocate_local(int c, double load2, int pred,
+                                       int succ) const noexcept {
+  return relocate_fits(c, load2) & edge_ok(pred, c) & edge_ok(c, succ);
+}
+
+inline bool MoveEngine::exchange_fits(int c1, double load1, int c2,
+                                      double load2) const noexcept {
+  const double* demand = inst_->soa().demand.data();
+  const double cap = inst_->capacity();
+  const double d1 = demand[c1];
+  const double d2 = demand[c2];
+  return !(load1 - d1 + d2 > cap) & !(load2 - d2 + d1 > cap);
+}
+
+inline bool MoveEngine::exchange_local(int c1, int pred1, int succ1,
+                                       double load1, int c2, int pred2,
+                                       int succ2,
+                                       double load2) const noexcept {
+  return exchange_fits(c1, load1, c2, load2) & edge_ok(pred1, c2) &
+         edge_ok(c2, succ1) & edge_ok(pred2, c1) & edge_ok(c1, succ2);
+}
+
+inline bool MoveEngine::two_opt_local(int pred, int first, int last,
+                                      int succ) const noexcept {
+  // The reversed interior is deliberately unchecked ("local" criterion).
+  return edge_ok(pred, last) & edge_ok(first, succ);
+}
+
+inline bool MoveEngine::cross_loads_fit(double prefix1, double load1,
+                                        double prefix2,
+                                        double load2) const noexcept {
+  const double cap = inst_->capacity();
+  return !(prefix1 + (load2 - prefix2) > cap) &
+         !(prefix2 + (load1 - prefix1) > cap);
+}
+
+inline bool MoveEngine::cross_junctions_ok(int tail1, int head1, int tail2,
+                                           int head2) const noexcept {
+  return edge_ok(tail1, head2) & edge_ok(tail2, head1);
+}
+
+inline bool MoveEngine::two_opt_star_local(double prefix1, double load1,
+                                           double prefix2, double load2,
+                                           int tail1, int head1, int tail2,
+                                           int head2) const noexcept {
+  return cross_loads_fit(prefix1, load1, prefix2, load2) &
+         cross_junctions_ok(tail1, head1, tail2, head2);
+}
+
+inline bool MoveEngine::or_opt_insert_ok(int pred, int s1, int s2,
+                                         int succ) const noexcept {
+  return edge_ok(pred, s1) & edge_ok(s2, succ);
+}
+
+inline bool MoveEngine::or_opt_gap_ok(int gap_pred,
+                                      int gap_succ) const noexcept {
+  return edge_ok(gap_pred, gap_succ);
+}
+
+inline bool MoveEngine::or_opt_local(int pred, int s1, int s2, int succ,
+                                     int gap_pred,
+                                     int gap_succ) const noexcept {
+  return or_opt_insert_ok(pred, s1, s2, succ) &
+         or_opt_gap_ok(gap_pred, gap_succ);
+}
+
 bool MoveEngine::locally_feasible(const Solution& base, const Move& m) const {
   assert(applicable(base, m));
   const auto& r1 = base.route(m.r1);
   const auto& r2 = base.route(m.r2);
-  const double cap = inst_->capacity();
+  const auto at = [](const std::vector<int>& route, int pos) {
+    return route[static_cast<std::size_t>(pos)];
+  };
 
   switch (m.type) {
-    case MoveType::Relocate: {
-      const int c = r1[static_cast<std::size_t>(m.i)];
-      if (base.route_stats(m.r2).load + inst_->site(c).demand > cap) {
-        return false;
-      }
-      const int pred = at_or_depot(r2, m.j - 1);
-      const int succ = at_or_depot(r2, m.j);
-      return edge_ok(pred, c) && edge_ok(c, succ);
-    }
-    case MoveType::Exchange: {
-      const int c1 = r1[static_cast<std::size_t>(m.i)];
-      const int c2 = r2[static_cast<std::size_t>(m.j)];
-      const double d1 = inst_->site(c1).demand;
-      const double d2 = inst_->site(c2).demand;
-      if (base.route_stats(m.r1).load - d1 + d2 > cap) return false;
-      if (base.route_stats(m.r2).load - d2 + d1 > cap) return false;
-      const int p1 = at_or_depot(r1, m.i - 1);
-      const int s1 = at_or_depot(r1, m.i + 1);
-      const int p2 = at_or_depot(r2, m.j - 1);
-      const int s2 = at_or_depot(r2, m.j + 1);
-      return edge_ok(p1, c2) && edge_ok(c2, s1) && edge_ok(p2, c1) &&
-             edge_ok(c1, s2);
-    }
-    case MoveType::TwoOpt: {
-      // New junctions: (i-1) -> j and i -> (j+1); the reversed interior is
-      // deliberately unchecked ("local" criterion).
-      const int pred = at_or_depot(r1, m.i - 1);
-      const int succ = at_or_depot(r1, m.j + 1);
-      return edge_ok(pred, r1[static_cast<std::size_t>(m.j)]) &&
-             edge_ok(r1[static_cast<std::size_t>(m.i)], succ);
-    }
-    case MoveType::TwoOptStar: {
-      // O(1) prefix loads from the cumulative-load cache (bitwise equal to
-      // the demand sums they replace).
-      const double prefix1 =
-          m.i > 0 ? base.route_cache(m.r1).cum_load(m.i - 1) : 0.0;
-      const double prefix2 =
-          m.j > 0 ? base.route_cache(m.r2).cum_load(m.j - 1) : 0.0;
-      const double load1 = base.route_stats(m.r1).load;
-      const double load2 = base.route_stats(m.r2).load;
-      if (prefix1 + (load2 - prefix2) > cap) return false;
-      if (prefix2 + (load1 - prefix1) > cap) return false;
-      const int tail1 = at_or_depot(r1, m.i - 1);
-      const int head2 = at_or_depot(r2, m.j);
-      const int tail2 = at_or_depot(r2, m.j - 1);
-      const int head1 = at_or_depot(r1, m.i);
-      return edge_ok(tail1, head2) && edge_ok(tail2, head1);
-    }
+    case MoveType::Relocate:
+      return relocate_local(at(r1, m.i), base.route_stats(m.r2).load,
+                            at_or_depot(r2, m.j - 1), at_or_depot(r2, m.j));
+    case MoveType::Exchange:
+      return exchange_local(at(r1, m.i), at_or_depot(r1, m.i - 1),
+                            at_or_depot(r1, m.i + 1),
+                            base.route_stats(m.r1).load, at(r2, m.j),
+                            at_or_depot(r2, m.j - 1),
+                            at_or_depot(r2, m.j + 1),
+                            base.route_stats(m.r2).load);
+    case MoveType::TwoOpt:
+      // New junctions: (i-1) -> j and i -> (j+1).
+      return two_opt_local(at_or_depot(r1, m.i - 1), at(r1, m.i),
+                           at(r1, m.j), at_or_depot(r1, m.j + 1));
+    case MoveType::TwoOptStar:
+      return two_opt_star_local(
+          prefix_load(base, m.r1, m.i), base.route_stats(m.r1).load,
+          prefix_load(base, m.r2, m.j), base.route_stats(m.r2).load,
+          at_or_depot(r1, m.i - 1), at_or_depot(r1, m.i),
+          at_or_depot(r2, m.j - 1), at_or_depot(r2, m.j));
     case MoveType::OrOpt: {
-      const int s1 = r1[static_cast<std::size_t>(m.i)];
-      const int s2 = r1[static_cast<std::size_t>(m.i + 1)];
-      // Route with the segment removed, for locating insertion neighbours.
-      auto removed_at = [&](int pos) {
-        // Position `pos` in the route after removing [i, i+1].
-        const int shifted = pos >= m.i ? pos + 2 : pos;
-        return at_or_depot(r1, shifted);
+      // Position `pos` of the route with the segment [i, i+1] removed.
+      const auto removed_at = [&](int pos) {
+        return at_or_depot(r1, pos >= m.i ? pos + 2 : pos);
       };
-      const int pred = m.j > 0 ? removed_at(m.j - 1) : 0;
-      const int succ = removed_at(m.j);
-      const int gap_pred = at_or_depot(r1, m.i - 1);
-      const int gap_succ = at_or_depot(r1, m.i + 2);
-      return edge_ok(pred, s1) && edge_ok(s2, succ) &&
-             edge_ok(gap_pred, gap_succ);
+      return or_opt_local(m.j > 0 ? removed_at(m.j - 1) : 0, at(r1, m.i),
+                          at(r1, m.i + 1), removed_at(m.j),
+                          at_or_depot(r1, m.i - 1), at_or_depot(r1, m.i + 2));
     }
   }
   return false;
@@ -136,33 +184,20 @@ bool MoveEngine::capacity_feasible(const Solution& base,
   assert(applicable(base, m));
   const auto& r1 = base.route(m.r1);
   const auto& r2 = base.route(m.r2);
-  const double cap = inst_->capacity();
+  const double load1 = base.route_stats(m.r1).load;
+  const double load2 = base.route_stats(m.r2).load;
   switch (m.type) {
-    case MoveType::Relocate: {
-      const int c = r1[static_cast<std::size_t>(m.i)];
-      return base.route_stats(m.r2).load + inst_->site(c).demand <= cap;
-    }
-    case MoveType::Exchange: {
-      const double d1 =
-          inst_->site(r1[static_cast<std::size_t>(m.i)]).demand;
-      const double d2 =
-          inst_->site(r2[static_cast<std::size_t>(m.j)]).demand;
-      return base.route_stats(m.r1).load - d1 + d2 <= cap &&
-             base.route_stats(m.r2).load - d2 + d1 <= cap;
-    }
+    case MoveType::Relocate:
+      return relocate_fits(r1[static_cast<std::size_t>(m.i)], load2);
+    case MoveType::Exchange:
+      return exchange_fits(r1[static_cast<std::size_t>(m.i)], load1,
+                           r2[static_cast<std::size_t>(m.j)], load2);
     case MoveType::TwoOpt:
     case MoveType::OrOpt:
       return true;  // intra-route: loads unchanged
-    case MoveType::TwoOptStar: {
-      const double prefix1 =
-          m.i > 0 ? base.route_cache(m.r1).cum_load(m.i - 1) : 0.0;
-      const double prefix2 =
-          m.j > 0 ? base.route_cache(m.r2).cum_load(m.j - 1) : 0.0;
-      const double load1 = base.route_stats(m.r1).load;
-      const double load2 = base.route_stats(m.r2).load;
-      return prefix1 + (load2 - prefix2) <= cap &&
-             prefix2 + (load1 - prefix1) <= cap;
-    }
+    case MoveType::TwoOptStar:
+      return cross_loads_fit(prefix_load(base, m.r1, m.i), load1,
+                             prefix_load(base, m.r2, m.j), load2);
   }
   return false;
 }
@@ -180,6 +215,17 @@ bool MoveEngine::exact_feasible(const Solution& base, const Move& m) const {
   return new_tardiness <= old_tardiness + 1e-9;
 }
 
+namespace {
+
+/// Counts one screen verdict and passes it through.
+inline bool count_screen(bool ok) noexcept {
+  TSMO_COUNT("move.screen_checks");
+  if (!ok) TSMO_COUNT("move.screen_reject");
+  return ok;
+}
+
+}  // namespace
+
 bool MoveEngine::screened_feasible(const Solution& base, const Move& m,
                                    FeasibilityScreen screen) const {
   bool ok = false;
@@ -194,9 +240,7 @@ bool MoveEngine::screened_feasible(const Solution& base, const Move& m,
       ok = exact_feasible(base, m);
       break;
   }
-  TSMO_COUNT("move.screen_checks");
-  if (!ok) TSMO_COUNT("move.screen_reject");
-  return ok;
+  return count_screen(ok);
 }
 
 // ---------------------------------------------------------------------------
@@ -591,123 +635,245 @@ MoveAttrs MoveEngine::destroyed_attrs(const Solution& base,
 std::optional<Move> MoveEngine::propose(MoveType t, const Solution& base,
                                         Rng& rng, int max_attempts,
                                         FeasibilityScreen screen) const {
+  if (cands_ == nullptr) {
+    switch (t) {
+      case MoveType::Relocate:
+        return uniform_relocate(base, rng, max_attempts, screen);
+      case MoveType::Exchange:
+        return uniform_exchange(base, rng, max_attempts, screen);
+      case MoveType::TwoOpt:
+        return uniform_two_opt(base, rng, max_attempts, screen);
+      case MoveType::TwoOptStar:
+        return uniform_two_opt_star(base, rng, max_attempts, screen);
+      case MoveType::OrOpt:
+        return uniform_or_opt(base, rng, max_attempts, screen);
+    }
+  }
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
     std::optional<Move> m;
     switch (t) {
       case MoveType::Relocate:
-        m = propose_relocate(base, rng);
+        m = propose_relocate_pruned(base, rng);
         break;
       case MoveType::Exchange:
-        m = propose_exchange(base, rng);
+        m = propose_exchange_pruned(base, rng);
         break;
       case MoveType::TwoOpt:
-        m = propose_two_opt(base, rng);
+        m = propose_two_opt_pruned(base, rng);
         break;
       case MoveType::TwoOptStar:
-        m = propose_two_opt_star(base, rng);
+        m = propose_two_opt_star_pruned(base, rng);
         break;
       case MoveType::OrOpt:
-        m = propose_or_opt(base, rng);
+        m = propose_or_opt_pruned(base, rng);
         break;
     }
     if (m && screened_feasible(base, *m, screen)) {
-      if (cands_) TSMO_COUNT("neighborhood.prune_hits");
+      TSMO_COUNT("neighborhood.prune_hits");
       return m;
     }
-    if (cands_) TSMO_COUNT("neighborhood.prune_rejects");
+    TSMO_COUNT("neighborhood.prune_rejects");
   }
   TSMO_COUNT("move.propose_giveup");
   return std::nullopt;
 }
 
-std::optional<Move> MoveEngine::propose_relocate(const Solution& base,
-                                                 Rng& rng) const {
-  if (cands_) return propose_relocate_pruned(base, rng);
-  const int n = inst_->num_customers();
-  if (n < 1 || base.num_routes() < 2) return std::nullopt;
-  const int c = 1 + static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
-  const int r1 = base.route_of(c);
-  if (r1 < 0) return std::nullopt;
-  int r2 = static_cast<int>(
-      rng.below(static_cast<std::uint64_t>(base.num_routes() - 1)));
-  if (r2 >= r1) ++r2;  // uniform over routes != r1
-  const int j = static_cast<int>(rng.below(
-      static_cast<std::uint64_t>(base.route(r2).size()) + 1));
-  return Move{MoveType::Relocate, r1, r2, base.position_of(c), j};
+// ---------------------------------------------------------------------------
+// Uniform proposals (the paper's sampler, candidate_k 0)
+//
+// Each operator draws its customers and positions uniformly, in a fixed
+// order, and returns early, before any screen, when the draw cannot make a
+// move (an unrouted customer, one route for both ends, a route too short,
+// a no-op).  A drawn move's Local verdict reads the drawn customers'
+// Visit records for the sites around each new junction, so no route is
+// re-read to screen it, and the operator's type is fixed for every
+// attempt.  Other screens judge the drawn move through screened_feasible.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Up to `max_attempts` calls of `draw`, which returns false at an early
+/// exit (no move, no screen check) and otherwise sets the move and its
+/// Local verdict.
+template <typename Draw>
+std::optional<Move> draw_until_screened(const MoveEngine& engine,
+                                        const Solution& base,
+                                        int max_attempts,
+                                        FeasibilityScreen screen,
+                                        Draw&& draw) {
+  Move m;
+  bool local = false;
+  for (int attempt = 0; attempt < max_attempts; ++attempt) {
+    if (!draw(m, local)) continue;
+    if (screen == FeasibilityScreen::Local
+            ? count_screen(local)
+            : engine.screened_feasible(base, m, screen)) {
+      return m;
+    }
+  }
+  TSMO_COUNT("move.propose_giveup");
+  return std::nullopt;
 }
 
-std::optional<Move> MoveEngine::propose_exchange(const Solution& base,
-                                                 Rng& rng) const {
-  if (cands_) return propose_exchange_pruned(base, rng);
-  const int n = inst_->num_customers();
-  if (n < 2) return std::nullopt;
-  const int c1 =
-      1 + static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
-  const int c2 =
-      1 + static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
-  const int r1 = base.route_of(c1);
-  const int r2 = base.route_of(c2);
-  if (r1 < 0 || r2 < 0 || r1 == r2) return std::nullopt;
-  return Move{MoveType::Exchange, r1, r2, base.position_of(c1),
-              base.position_of(c2)};
+int draw_customer(Rng& rng, int n) {
+  return 1 + static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
 }
 
-std::optional<Move> MoveEngine::propose_two_opt(const Solution& base,
-                                                Rng& rng) const {
-  if (cands_) return propose_two_opt_pruned(base, rng);
-  const int n = inst_->num_customers();
-  if (n < 2) return std::nullopt;
-  // Anchor on a random customer so longer routes are picked proportionally.
-  const int c = 1 + static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
-  const int r = base.route_of(c);
-  if (r < 0) return std::nullopt;
-  const int len = static_cast<int>(base.route(r).size());
-  if (len < 2) return std::nullopt;
-  int i = static_cast<int>(rng.below(static_cast<std::uint64_t>(len)));
-  int j = static_cast<int>(rng.below(static_cast<std::uint64_t>(len)));
-  if (i == j) return std::nullopt;
-  if (i > j) std::swap(i, j);
-  return Move{MoveType::TwoOpt, r, r, i, j};
+int draw_below(Rng& rng, int bound) {
+  return static_cast<int>(rng.below(static_cast<std::uint64_t>(bound)));
 }
 
-std::optional<Move> MoveEngine::propose_two_opt_star(const Solution& base,
-                                                     Rng& rng) const {
-  if (cands_) return propose_two_opt_star_pruned(base, rng);
-  const int n = inst_->num_customers();
-  if (n < 2) return std::nullopt;
-  const int c1 =
-      1 + static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
-  const int c2 =
-      1 + static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
-  const int r1 = base.route_of(c1);
-  const int r2 = base.route_of(c2);
-  if (r1 < 0 || r2 < 0 || r1 == r2) return std::nullopt;
-  const int n1 = static_cast<int>(base.route(r1).size());
-  const int n2 = static_cast<int>(base.route(r2).size());
-  const int i =
-      static_cast<int>(rng.below(static_cast<std::uint64_t>(n1) + 1));
-  const int j =
-      static_cast<int>(rng.below(static_cast<std::uint64_t>(n2) + 1));
-  if ((i == n1 && j == n2) || (i == 0 && j == 0)) return std::nullopt;
-  return Move{MoveType::TwoOptStar, r1, r2, i, j};
+/// The sites on either side of slot `j` (0 <= j <= size) of `route`: the
+/// one before the slot and the one at it, the depot (0) past either end.
+/// Both come from one customer, the one at the slot or, at the end slot,
+/// the last one, and its Visit record, so `j` picks with selects, not
+/// branches.  An empty route reads the depot's record, which (the depot
+/// is never routed) has both neighbours 0.
+struct Slot {
+  int before;
+  int at;
+};
+Slot slot_sites(const Solution& base, const std::vector<int>& route, int j) {
+  static constexpr int kDepot = 0;
+  const int len = static_cast<int>(route.size());
+  const bool end = j == len;
+  const int x = *(len > 0 ? route.data() + (j - end) : &kDepot);
+  const Solution::Visit& v = base.visit(x);
+  return {end ? x : v.pred, end ? v.succ : x};
 }
 
-std::optional<Move> MoveEngine::propose_or_opt(const Solution& base,
-                                               Rng& rng) const {
-  if (cands_) return propose_or_opt_pruned(base, rng);
+}  // namespace
+
+std::optional<Move> MoveEngine::uniform_relocate(
+    const Solution& base, Rng& rng, int max_attempts,
+    FeasibilityScreen screen) const {
   const int n = inst_->num_customers();
-  if (n < 3) return std::nullopt;
-  const int c = 1 + static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
-  const int r = base.route_of(c);
-  if (r < 0) return std::nullopt;
-  const int len = static_cast<int>(base.route(r).size());
-  if (len < 3) return std::nullopt;
-  const int i =
-      static_cast<int>(rng.below(static_cast<std::uint64_t>(len - 1)));
-  const int j =
-      static_cast<int>(rng.below(static_cast<std::uint64_t>(len - 1)));
-  if (j == i) return std::nullopt;
-  return Move{MoveType::OrOpt, r, r, i, j};
+  const int routes = base.num_routes();
+  return draw_until_screened(
+      *this, base, max_attempts, screen, [&](Move& m, bool& local) {
+        if (n < 1 || routes < 2) return false;
+        const int c = draw_customer(rng, n);
+        const Solution::Visit& from = base.visit(c);
+        if (from.route < 0) return false;
+        int r2 = draw_below(rng, routes - 1);
+        r2 += r2 >= from.route;  // uniform over routes != r1
+        const std::vector<int>& to = base.route(r2);
+        const int j = draw_below(rng, static_cast<int>(to.size()) + 1);
+        m = Move{MoveType::Relocate, from.route, r2, from.position, j};
+        const Slot slot = slot_sites(base, to, j);
+        local = relocate_local(c, base.route_stats(r2).load, slot.before,
+                               slot.at);
+        return true;
+      });
+}
+
+std::optional<Move> MoveEngine::uniform_exchange(
+    const Solution& base, Rng& rng, int max_attempts,
+    FeasibilityScreen screen) const {
+  const int n = inst_->num_customers();
+  return draw_until_screened(
+      *this, base, max_attempts, screen, [&](Move& m, bool& local) {
+        if (n < 2) return false;
+        const int c1 = draw_customer(rng, n);
+        const int c2 = draw_customer(rng, n);
+        const Solution::Visit& a = base.visit(c1);
+        const Solution::Visit& b = base.visit(c2);
+        if (a.route < 0 || b.route < 0 || a.route == b.route) return false;
+        m = Move{MoveType::Exchange, a.route, b.route, a.position,
+                 b.position};
+        local = exchange_local(c1, a.pred, a.succ,
+                               base.route_stats(a.route).load, c2, b.pred,
+                               b.succ, base.route_stats(b.route).load);
+        return true;
+      });
+}
+
+std::optional<Move> MoveEngine::uniform_two_opt(
+    const Solution& base, Rng& rng, int max_attempts,
+    FeasibilityScreen screen) const {
+  const int n = inst_->num_customers();
+  return draw_until_screened(
+      *this, base, max_attempts, screen, [&](Move& m, bool& local) {
+        if (n < 2) return false;
+        // Anchor on a random customer so longer routes are picked
+        // proportionally.
+        const int r = base.route_of(draw_customer(rng, n));
+        if (r < 0) return false;
+        const std::vector<int>& route = base.route(r);
+        const int len = static_cast<int>(route.size());
+        if (len < 2) return false;
+        const int i = draw_below(rng, len);
+        const int j = draw_below(rng, len);
+        if (i == j) return false;
+        const int lo = std::min(i, j);
+        const int hi = std::max(i, j);
+        m = Move{MoveType::TwoOpt, r, r, lo, hi};
+        const int first = route[static_cast<std::size_t>(lo)];
+        const int last = route[static_cast<std::size_t>(hi)];
+        local = two_opt_local(base.visit(first).pred, first, last,
+                              base.visit(last).succ);
+        return true;
+      });
+}
+
+std::optional<Move> MoveEngine::uniform_two_opt_star(
+    const Solution& base, Rng& rng, int max_attempts,
+    FeasibilityScreen screen) const {
+  const int n = inst_->num_customers();
+  return draw_until_screened(
+      *this, base, max_attempts, screen, [&](Move& m, bool& local) {
+        if (n < 2) return false;
+        const int r1 = base.route_of(draw_customer(rng, n));
+        const int r2 = base.route_of(draw_customer(rng, n));
+        if (r1 < 0 || r2 < 0 || r1 == r2) return false;
+        const std::vector<int>& route1 = base.route(r1);
+        const std::vector<int>& route2 = base.route(r2);
+        const int n1 = static_cast<int>(route1.size());
+        const int n2 = static_cast<int>(route2.size());
+        const int i = draw_below(rng, n1 + 1);
+        const int j = draw_below(rng, n2 + 1);
+        if ((i == n1 && j == n2) || (i == 0 && j == 0)) return false;
+        m = Move{MoveType::TwoOptStar, r1, r2, i, j};
+        // Cut i of r1 runs between cut1.before (its tail's last site) and
+        // cut1.at (its head's first); likewise cut j of r2.
+        const Slot cut1 = slot_sites(base, route1, i);
+        const Slot cut2 = slot_sites(base, route2, j);
+        local = two_opt_star_local(
+            prefix_load(base, r1, i), base.route_stats(r1).load,
+            prefix_load(base, r2, j), base.route_stats(r2).load,
+            cut1.before, cut1.at, cut2.before, cut2.at);
+        return true;
+      });
+}
+
+std::optional<Move> MoveEngine::uniform_or_opt(
+    const Solution& base, Rng& rng, int max_attempts,
+    FeasibilityScreen screen) const {
+  const int n = inst_->num_customers();
+  return draw_until_screened(
+      *this, base, max_attempts, screen, [&](Move& m, bool& local) {
+        if (n < 3) return false;
+        const int r = base.route_of(draw_customer(rng, n));
+        if (r < 0) return false;
+        const std::vector<int>& route = base.route(r);
+        const int len = static_cast<int>(route.size());
+        if (len < 3) return false;
+        const int i = draw_below(rng, len - 1);
+        const int j = draw_below(rng, len - 1);
+        if (j == i) return false;
+        m = Move{MoveType::OrOpt, r, r, i, j};
+        const int s1 = route[static_cast<std::size_t>(i)];
+        const int s2 = route[static_cast<std::size_t>(i + 1)];
+        // Slot j of the route without the segment lies before route[j]
+        // when j < i, and after route[j + 1] (the segment shifts it) when
+        // j > i.
+        const bool after = j > i;
+        const int x = route[static_cast<std::size_t>(j + after)];
+        const Solution::Visit& v = base.visit(x);
+        local = or_opt_local(after ? x : v.pred, s1, s2, after ? v.succ : x,
+                             base.visit(s1).pred, base.visit(s2).succ);
+        return true;
+      });
 }
 
 // ---------------------------------------------------------------------------
@@ -715,10 +881,10 @@ std::optional<Move> MoveEngine::propose_or_opt(const Solution& base,
 //
 // Each sampler anchors on a uniformly random customer c, draws a random
 // start slot in c's candidate row, and takes the first partner at or after
-// that slot (cyclically) whose move passes the SAME junction/load
-// conditions locally_feasible checks.  So a successful draw survives the
-// Local screen by construction, and the index arithmetic produces only
-// applicable moves.
+// that slot (cyclically) whose move passes the operator's Local verdict:
+// the masks call the same per-operator statements locally_feasible does.
+// So a successful draw survives the Local screen by construction, and the
+// index arithmetic produces only applicable moves.
 //
 // The verdicts of 64 slots at a time come from one branch-free pass into a
 // bitmask: junctions from the Instance's bitmap, a partner's route,
@@ -787,31 +953,26 @@ std::optional<Move> MoveEngine::propose_relocate_pruned(const Solution& base,
   const int c = 1 + static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
   const int r1 = base.route_of(c);
   if (r1 < 0) return std::nullopt;
-  const double cap = inst_->capacity();
-  const double dc = inst_->site(c).demand;
   // Insert c directly before or after its candidate partner u; the side is
   // fixed by which junction direction is TW-reachable (an rng bit, drawn
-  // after the pick, breaks the tie when both are).
-  const auto after = [&](int v, const Solution::Visit& at) {
-    return edge_ok(v, c) & edge_ok(c, at.succ);
-  };
-  const auto before = [&](int v, const Solution::Visit& at) {
-    return edge_ok(c, v) & edge_ok(at.pred, c);
+  // after the pick, breaks the tie when both are).  `sides` gives the
+  // Local verdicts of inserting c after and before v.
+  const auto sides = [&](int v, const Solution::Visit& at) {
+    const double load2 = base.route_stats(std::max(at.route, 0)).load;
+    return std::pair{relocate_local(c, load2, v, at.succ),
+                     relocate_local(c, load2, at.pred, v)};
   };
   const int u = pick_partner(
       cands_->neighbors(c), rng,
       [&](int v) {
         const Solution::Visit& at = base.visit(v);
-        const int r2 = std::max(at.route, 0);
-        const bool fits = !(base.route_stats(r2).load + dc > cap);
-        return (at.route >= 0) & (at.route != r1) & fits &
-               (after(v, at) | before(v, at));
+        const auto [after, before] = sides(v, at);
+        return (at.route >= 0) & (at.route != r1) & (after | before);
       },
       kAnyPartner);
   if (u < 0) return std::nullopt;
   const Solution::Visit& at = base.visit(u);
-  const bool a = after(u, at);
-  const bool b = before(u, at);
+  const auto [a, b] = sides(u, at);
   const int side = a && b ? static_cast<int>(rng.below(2)) : (a ? 1 : 0);
   return Move{MoveType::Relocate, r1, at.route, base.position_of(c),
               at.position + side};
@@ -827,20 +988,14 @@ std::optional<Move> MoveEngine::propose_exchange_pruned(const Solution& base,
   if (r1 < 0) return std::nullopt;
   const int p1 = anchor.pred;
   const int s1 = anchor.succ;
-  const double cap = inst_->capacity();
-  const double* demand = inst_->soa().demand.data();
-  const double d1 = demand[c1];
   const double load1 = base.route_stats(r1).load;
   const int c2 = pick_partner(
       cands_->neighbors(c1), rng,
       [&](int v) {
         const Solution::Visit& at = base.visit(v);
-        const int r2 = std::max(at.route, 0);
-        const double d2 = demand[v];
-        const bool fits = !(load1 - d1 + d2 > cap) &
-                          !(base.route_stats(r2).load - d2 + d1 > cap);
-        return (at.route >= 0) & (at.route != r1) & fits & edge_ok(p1, v) &
-               edge_ok(v, s1) & edge_ok(at.pred, c1) & edge_ok(c1, at.succ);
+        const double load2 = base.route_stats(std::max(at.route, 0)).load;
+        return (at.route >= 0) & (at.route != r1) &
+               exchange_local(c1, p1, s1, load1, v, at.pred, at.succ, load2);
       },
       kAnyPartner);
   if (c2 < 0) return std::nullopt;
@@ -876,7 +1031,7 @@ std::optional<Move> MoveEngine::propose_two_opt_pruned(const Solution& base,
         const int hi = forward ? v : c1;
         const int lo_next = forward ? anchor.succ : at.succ;
         const int hi_next = forward ? at.succ : anchor.succ;
-        return edge_ok(lo, hi) && edge_ok(lo_next, hi_next);
+        return two_opt_local(lo, lo_next, hi, hi_next);
       });
   if (c2 < 0) return std::nullopt;
   const int lo = std::min(pc, base.position_of(c2));
@@ -893,29 +1048,25 @@ std::optional<Move> MoveEngine::propose_two_opt_star_pruned(
   const int r1 = anchor.route;
   if (r1 < 0) return std::nullopt;
   const int pc = anchor.position;
-  const double cap = inst_->capacity();
   const double load1 = base.route_stats(r1).load;
   // Cut after c1 and before u: the crossed tails create the junction
   // (c1, u) plus the mirror junction (pred(u), succ(c1)).  The prefix-load
-  // checks mirror locally_feasible bitwise (same cum_load cache reads);
-  // they run second, in walk order, on the slots whose junctions pass.
-  const double prefix1 = base.route_cache(r1).cum_load(pc);
+  // checks read the cum_load cache as locally_feasible does; they run
+  // second, in walk order, on the slots whose junctions pass.
+  const double prefix1 = prefix_load(base, r1, pc + 1);
   const int head1 = anchor.succ;
   const int u = pick_partner(
       cands_->neighbors(c1), rng,
       [&](int v) {
         const Solution::Visit& at = base.visit(v);
-        return (at.route >= 0) & (at.route != r1) & edge_ok(c1, v) &
-               edge_ok(at.pred, head1);
+        return (at.route >= 0) & (at.route != r1) &
+               cross_junctions_ok(c1, head1, at.pred, v);
       },
       [&](int v) {
         const Solution::Visit& at = base.visit(v);
-        const int pv = at.position;
-        const double prefix2 =
-            pv > 0 ? base.route_cache(at.route).cum_load(pv - 1) : 0.0;
-        const double load2 = base.route_stats(at.route).load;
-        return !(prefix1 + (load2 - prefix2) > cap) &&
-               !(prefix2 + (load1 - prefix1) > cap);
+        return cross_loads_fit(prefix1, load1,
+                               prefix_load(base, at.route, at.position),
+                               base.route_stats(at.route).load);
       });
   if (u < 0) return std::nullopt;
   // i >= 1 and j < n2 rule out both forbidden cut pairs.
@@ -938,7 +1089,9 @@ std::optional<Move> MoveEngine::propose_or_opt_pruned(const Solution& base,
   if (i + 1 >= len) return std::nullopt;  // segment is [i, i+1]
   // Closing the gap the segment leaves is partner-independent: reject the
   // anchor before walking when that junction alone fails.
-  if (!edge_ok(anchor.pred, at_or_depot(route, i + 2))) return std::nullopt;
+  if (!or_opt_gap_ok(anchor.pred, at_or_depot(route, i + 2))) {
+    return std::nullopt;
+  }
   const int seg_tail = anchor.succ;
   // Re-insert the segment directly after u, creating junctions (u, c) and
   // (seg_tail, succ(u)).  j indexes the route with the segment removed:
@@ -956,8 +1109,8 @@ std::optional<Move> MoveEngine::propose_or_opt_pruned(const Solution& base,
         const Solution::Visit& at = base.visit(v);
         const bool outside_segment =
             static_cast<unsigned>(at.position - (i - 1)) > 2U;
-        return (at.route == r) & outside_segment & edge_ok(v, c) &
-               edge_ok(seg_tail, at.succ);
+        return (at.route == r) & outside_segment &
+               or_opt_insert_ok(v, c, seg_tail, at.succ);
       },
       kAnyPartner);
   if (u < 0) return std::nullopt;

@@ -134,12 +134,58 @@ class MoveEngine {
     return inst_->junction_ok(a, b);
   }
 
-  std::optional<Move> propose_relocate(const Solution& base, Rng& rng) const;
-  std::optional<Move> propose_exchange(const Solution& base, Rng& rng) const;
-  std::optional<Move> propose_two_opt(const Solution& base, Rng& rng) const;
-  std::optional<Move> propose_two_opt_star(const Solution& base,
-                                           Rng& rng) const;
-  std::optional<Move> propose_or_opt(const Solution& base, Rng& rng) const;
+  /// The Local criterion of each operator, stated once over what the move
+  /// reads: the sites at each junction it creates and the loads of the
+  /// routes it fills.  locally_feasible, the uniform draws and the pruned
+  /// samplers' masks all decide through these, and capacity_feasible
+  /// through their load halves (relocate_fits, exchange_fits,
+  /// cross_loads_fit).  Conjuncts are joined with `&`, so each verdict is
+  /// one branch-free expression.
+  ///
+  /// Relocate c into a route of load `load2`, between `pred` and `succ`.
+  bool relocate_fits(int c, double load2) const noexcept;
+  bool relocate_local(int c, double load2, int pred, int succ) const noexcept;
+  /// Swap c1 (between pred1 and succ1, on a route of load1) with c2.
+  bool exchange_fits(int c1, double load1, int c2,
+                     double load2) const noexcept;
+  bool exchange_local(int c1, int pred1, int succ1, double load1, int c2,
+                      int pred2, int succ2, double load2) const noexcept;
+  /// Reverse first..last, which sit between `pred` and `succ`.
+  bool two_opt_local(int pred, int first, int last,
+                     int succ) const noexcept;
+  /// Cross two tails: each route's prefix load (through its cut) with the
+  /// other's remaining load, and each cut's tail with the other's head.
+  bool cross_loads_fit(double prefix1, double load1, double prefix2,
+                       double load2) const noexcept;
+  bool cross_junctions_ok(int tail1, int head1, int tail2,
+                          int head2) const noexcept;
+  bool two_opt_star_local(double prefix1, double load1, double prefix2,
+                          double load2, int tail1, int head1, int tail2,
+                          int head2) const noexcept;
+  /// Re-insert the segment s1 s2 between pred and succ; gap_pred and
+  /// gap_succ meet where it was.
+  bool or_opt_insert_ok(int pred, int s1, int s2, int succ) const noexcept;
+  bool or_opt_gap_ok(int gap_pred, int gap_succ) const noexcept;
+  bool or_opt_local(int pred, int s1, int s2, int succ, int gap_pred,
+                    int gap_succ) const noexcept;
+
+  /// Uniform draws (candidate_k 0): up to `max_attempts` draws of one
+  /// operator, each judged from the drawn customers' Visit records.
+  std::optional<Move> uniform_relocate(const Solution& base, Rng& rng,
+                                       int max_attempts,
+                                       FeasibilityScreen screen) const;
+  std::optional<Move> uniform_exchange(const Solution& base, Rng& rng,
+                                       int max_attempts,
+                                       FeasibilityScreen screen) const;
+  std::optional<Move> uniform_two_opt(const Solution& base, Rng& rng,
+                                      int max_attempts,
+                                      FeasibilityScreen screen) const;
+  std::optional<Move> uniform_two_opt_star(const Solution& base, Rng& rng,
+                                           int max_attempts,
+                                           FeasibilityScreen screen) const;
+  std::optional<Move> uniform_or_opt(const Solution& base, Rng& rng,
+                                     int max_attempts,
+                                     FeasibilityScreen screen) const;
 
   /// Pruned variants: anchor on a uniform customer, then take the partner
   /// from its candidate list by one mask pass over the row (DESIGN.md §11).

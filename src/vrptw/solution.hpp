@@ -172,7 +172,10 @@ class Solution {
   std::vector<double> active_tard_;
   std::vector<int> dirty_;
   bool evaluated_ = false;
-  std::vector<Visit> visits_;  // size N+1; [0] unused
+  // Size N+1.  [0], the depot's, is never written, so it reads like an
+  // unrouted customer's (both neighbours 0); the uniform draws read it
+  // for the one slot of an empty route.
+  std::vector<Visit> visits_;
 };
 
 }  // namespace tsmo

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "core/candidate.hpp"
 #include "core/params.hpp"
 #include "test_support.hpp"
@@ -148,6 +152,80 @@ TEST(Candidate, NondominatedIndicesMatchesFilterSemantics) {
 
 TEST(Candidate, NondominatedIndicesEmptyInput) {
   EXPECT_TRUE(nondominated_indices({}).empty());
+}
+
+/// The filter before the running front, verbatim: every pair compared.
+std::vector<std::size_t> quadratic_nondominated_indices(
+    const std::vector<Candidate>& candidates) {
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    bool keep = true;
+    for (std::size_t j = 0; j < candidates.size() && keep; ++j) {
+      if (j == i) continue;
+      if (dominates(candidates[j].obj, candidates[i].obj)) keep = false;
+      if (j < i && candidates[j].obj == candidates[i].obj) keep = false;
+    }
+    if (keep) out.push_back(i);
+  }
+  return out;
+}
+
+TEST(Candidate, NondominatedIndicesMatchesQuadraticOracle) {
+  const auto with = [](std::vector<Objectives> objs) {
+    std::vector<Candidate> cands(objs.size());
+    for (std::size_t i = 0; i < objs.size(); ++i) cands[i].obj = objs[i];
+    return cands;
+  };
+  const auto expect_oracle = [](const std::vector<Candidate>& cands,
+                                const std::string& what) {
+    EXPECT_EQ(nondominated_indices(cands),
+              quadratic_nondominated_indices(cands))
+        << what;
+  };
+
+  // Small integer grids make equal vectors common, and equal distances
+  // with different vehicle counts, and zero tardiness.
+  Rng rng(25);
+  for (const int n : {0, 1, 2, 50, 200, 500}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<Objectives> objs;
+      for (int i = 0; i < n; ++i) {
+        objs.push_back(Objectives{
+            static_cast<double>(rng.below(6)), static_cast<int>(rng.below(4)),
+            rng.chance(0.5) ? 0.0 : static_cast<double>(rng.below(3))});
+      }
+      expect_oracle(with(objs), "random n=" + std::to_string(n) +
+                                    " trial " + std::to_string(trial));
+    }
+  }
+
+  const Objectives same{7, 3, 0};
+  expect_oracle(with(std::vector<Objectives>(40, same)), "all equal");
+  EXPECT_EQ(nondominated_indices(with(std::vector<Objectives>(40, same))),
+            (std::vector<std::size_t>{0}));
+
+  // A strict chain, each vector dominating the next, in both orders.
+  std::vector<Objectives> chain;
+  for (int i = 0; i < 30; ++i) {
+    chain.push_back(Objectives{static_cast<double>(i), i / 10,
+                               static_cast<double>(i / 3)});
+  }
+  expect_oracle(with(chain), "chain, best first");
+  EXPECT_EQ(nondominated_indices(with(chain)),
+            (std::vector<std::size_t>{0}));
+  std::reverse(chain.begin(), chain.end());
+  expect_oracle(with(chain), "chain, best last");
+  EXPECT_EQ(nondominated_indices(with(chain)),
+            (std::vector<std::size_t>{29}));
+
+  // One vector dominating all the others, placed in the middle.
+  std::vector<Objectives> one;
+  for (int i = 0; i < 31; ++i) {
+    one.push_back(Objectives{10.0 + (i % 5), 2 + (i % 3), 1.0 + (i % 4)});
+  }
+  one[15] = Objectives{1, 1, 0};
+  expect_oracle(with(one), "one dominates the rest");
+  EXPECT_EQ(nondominated_indices(with(one)), (std::vector<std::size_t>{15}));
 }
 
 }  // namespace
