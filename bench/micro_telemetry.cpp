@@ -600,93 +600,6 @@ void write_profiler_overhead_record(const std::string& path) {
             << " samples captured, wrote " << path << '\n';
 }
 
-// ---------------------------------------------------------------------------
-// History-plane overhead guard (DESIGN.md §15): iterations/s of the shared
-// baseline loop while an ObsServer with enable_history() samples the
-// registry, job gauges, recorder hypervolume and /proc into the tsdb and
-// runs the SLO engine after every tick — vs. the same loop unobserved.
-// The sampler runs at 50 Hz here, 50× the production cadence, so a pass
-// is a strong statement; all sampling work lands on the sampler thread
-// and only cache/atomic interference can touch the measured search
-// thread.  Bound: < 1%.
-// ---------------------------------------------------------------------------
-
-void write_tsdb_overhead_record(const std::string& path) {
-  using namespace tsmo;
-  const BaselineHarness base;
-
-  Registry::instance().reset();
-  telemetry::set_enabled(true);
-
-  ConvergenceConfig cc;
-  cc.reference = convergence_reference(base.inst);
-  ConvergenceRecorder recorder(cc);
-
-  base.warm_up();
-
-  // Interleaved median A/B: both arms run telemetry-enabled with the
-  // recorder attached; the on arm additionally has a live history plane.
-  // The server (and its sampler thread) exists only for the on-rep of
-  // each pair, so the off-rep is genuinely unobserved.
-  std::uint64_t ticks = 0;
-  std::size_t series = 0;
-  std::vector<double> off_rates;
-  std::vector<double> on_rates;
-  for (int rep = 0; rep < 15; ++rep) {
-    off_rates.push_back(base.measure(&recorder, 1));
-
-    obs::ObsServer server;
-    obs::ObsServer::HistoryOptions ho;
-    ho.tsdb.sample_period_s = 0.02;
-    server.enable_history(std::move(ho));
-    if (!server.start()) {
-      std::cerr << "cannot start obs server: " << server.reason() << "\n";
-      telemetry::set_enabled(false);
-      Registry::instance().reset();
-      return;
-    }
-    server.set_recorder(&recorder);
-    on_rates.push_back(base.measure(&recorder, 1));
-    ticks += server.db()->ticks();
-    series = std::max(series, server.db()->series_count());
-    server.set_recorder(nullptr);
-    server.stop();
-  }
-  telemetry::set_enabled(false);
-  Registry::instance().reset();
-
-  const double off = median_of(off_rates);
-  const double on = median_of(on_rates);
-  const double overhead_pct = paired_overhead_percent(off_rates, on_rates);
-  const double bound_pct = 1.0;
-
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "cannot open " << path << " for writing\n";
-    return;
-  }
-  JsonWriter json(out);
-  json.begin_object();
-  json.key("benchmark").value("tsdb_sampler_overhead");
-  json.key("instance").value(base.inst.name());
-  json.key("iterations").value(base.iters);
-  json.key("neighborhood").value(base.params.neighborhood_size);
-  json.key("sample_period_ms").value(20);
-  json.key("ticks_sampled").value(static_cast<std::int64_t>(ticks));
-  json.key("series_tracked").value(static_cast<std::int64_t>(series));
-  json.key("iters_per_s_history_off").value(off);
-  json.key("iters_per_s_history_on").value(on);
-  json.key("overhead_percent").value(overhead_pct);
-  json.key("bound_percent").value(bound_pct);
-  json.key("within_bound").value(overhead_pct < bound_pct);
-  json.end_object();
-  out << '\n';
-  std::cout << "tsdb sampler overhead: " << overhead_pct << "% ("
-            << (overhead_pct < bound_pct ? "within" : "EXCEEDS") << " the "
-            << bound_pct << "% bound), " << ticks << " ticks sampled, wrote "
-            << path << '\n';
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -702,9 +615,6 @@ int main(int argc, char** argv) {
   if (argc > 2 && argv[2][0] != '-') write_obs_overhead_record(argv[2]);
   if (argc > 3 && argv[3][0] != '-') write_trace_overhead_record(argv[3]);
   if (argc > 4 && argv[4][0] != '-') write_profiler_overhead_record(argv[4]);
-  // A fifth positional argument asks for the history-plane sampler
-  // overhead record (DESIGN.md §15).
-  if (argc > 5 && argv[5][0] != '-') write_tsdb_overhead_record(argv[5]);
   benchmark::Shutdown();
   return 0;
 }

@@ -242,15 +242,6 @@ int main(int argc, char** argv) {
                  "0");
   cli.add_option("profile-out",
                  "write the run's folded-stack profile to this file", "");
-  cli.add_option("tsdb-period-ms",
-                 "sampling cadence of the in-process time-series store "
-                 "(min 10; the raw tier keeps 900 samples, the aggregate "
-                 "tier 1440 windows of 10 samples each)",
-                 "1000");
-  cli.add_option("slo-first-front-ms",
-                 "submit-to-first-front latency target of the "
-                 "first_front_latency SLO (job plane)",
-                 "2000");
   cli.add_flag("serve-jobs",
                "run as a batch solver service instead of solving once: "
                "POST /jobs, GET /jobs/<id>[/result], DELETE /jobs/<id> "
@@ -268,12 +259,6 @@ int main(int argc, char** argv) {
   cli.add_flag("simulate", "run on the virtual clock (deterministic)");
   cli.add_flag("polish",
                "post-run VND local search on every archive solution");
-  cli.add_flag("no-tsdb",
-               "disable the time-series history plane (/api/timeseries, "
-               "/dashboard) that --serve and --serve-jobs enable");
-  cli.add_flag("no-slo",
-               "keep the time-series store but disable SLO burn-rate "
-               "evaluation (healthz slo block, tsmo_slo_* metrics)");
   cli.add_flag("quiet", "suppress the front table");
   if (!cli.parse(argc, argv, std::cerr)) return 64;
 
@@ -324,8 +309,6 @@ int main(int argc, char** argv) {
           static_cast<std::size_t>(std::max<long long>(
               1, cli.get_int("job-queue")));
       jc.executors = static_cast<int>(cli.get_int("job-workers"));
-      jc.first_front_target_ms =
-          std::max(0.0, cli.get_double("slo-first-front-ms"));
       obs::JobManager jobs(jc, make_job_runner());
 
       obs::ObsServer::Options so;
@@ -333,13 +316,6 @@ int main(int argc, char** argv) {
       so.port = serve_port <= 0 ? 0 : serve_port;
       obs::ObsServer server(so);
       server.attach_jobs(&jobs);
-      if (!cli.flag("no-tsdb")) {
-        obs::ObsServer::HistoryOptions ho;
-        ho.tsdb.sample_period_s =
-            std::max(10.0, cli.get_double("tsdb-period-ms")) / 1000.0;
-        ho.slo = !cli.flag("no-slo");
-        server.enable_history(std::move(ho));
-      }
       if (!server.start()) {
         std::cerr << "cannot serve: " << server.reason() << "\n";
         return 1;
@@ -451,13 +427,6 @@ int main(int argc, char** argv) {
       so.port = serve_port < 0 ? 0 : serve_port;
       server = std::make_unique<obs::ObsServer>(so);
       obs::FlightRecorder::set_enabled(true);
-      if (!cli.flag("no-tsdb")) {
-        obs::ObsServer::HistoryOptions ho;
-        ho.tsdb.sample_period_s =
-            std::max(10.0, cli.get_double("tsdb-period-ms")) / 1000.0;
-        ho.slo = !cli.flag("no-slo");
-        server->enable_history(std::move(ho));
-      }
       if (!server->start()) {
         std::cerr << "cannot serve: " << server->reason() << "\n";
         return 1;

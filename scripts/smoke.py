@@ -18,12 +18,9 @@ Phases, in order:
                plane's trace correlation (DESIGN.md §12, §13).
   profile      a server with --profile-hz: folded stacks, speedscope,
                introspection (DESIGN.md §14).
-  dashboard    a server sampling history at 100 ms with a 1 ms first-front
-               target: /api/timeseries, /dashboard and the induced SLO
-               breach (DESIGN.md §15).
   perf         the 400-customer end-to-end sweep: pruned sampling reaches
                the uniform reference no slower (DESIGN.md §11).
-  overheads    one micro_telemetry run writing the five overhead records;
+  overheads    one micro_telemetry run writing the four overhead records;
                each guard is then its own phase.
   perfbench    the benchmark's output checks on a short pruned-1000 pass.
 
@@ -770,94 +767,6 @@ def phase_profile():
           len(intro["operators"]), "operators")
 
 
-# ----------------------------------------------------- dashboard phase
-
-
-def phase_dashboard():
-    with serving("dashboard", "--serve-jobs", "--serve", "0",
-                 "--job-workers", "2", "--tsdb-period-ms", "100",
-                 "--slo-first-front-ms", "1", "--quiet") as port:
-        # The jobs.done rate at step=1 needs a bucket older than the
-        # finish as its base.  On a server younger than ~2 s the window
-        # holds two non-empty buckets, and a finish in the older one
-        # leaves only a 0 rate point, so wait for 2 s of history (20
-        # ticks at 100 ms) before submitting.
-        deadline = time.monotonic() + 30
-        ticks = 0
-        while time.monotonic() < deadline:
-            _, health = request(port, "GET", "/healthz")
-            ticks = health["tsdb"]["ticks"]
-            if ticks >= 20:
-                break
-            time.sleep(0.1)
-        check(ticks >= 20, f"20 sampler ticks before the submit ({ticks})")
-
-        # A 400-customer instance: its I1 construction alone takes longer
-        # than the 1 ms target, so the job misses it for a real reason.
-        job_id = submit(port, {"instance": "R1_4_1", "algorithm": "seq",
-                               "params": {"evaluations": 3000,
-                                          "neighborhood": 40,
-                                          "restart_after": 15, "seed": 7}})
-        deadline = time.monotonic() + 60
-        doc = {}
-        while time.monotonic() < deadline:
-            _, doc = request(port, "GET", f"/jobs/{job_id}")
-            if doc.get("state") in ("done", "failed"):
-                break
-            time.sleep(0.05)
-        check(doc.get("state") == "done", f"{job_id} finished done ({doc})")
-        # Two sampler ticks after the finish: the first establishes the
-        # counter base, the second sees the increase and trips the SLO.
-        time.sleep(1.0)
-        ts = json.loads(archive(port, "/api/timeseries?series=*&window=120",
-                                "timeseries.json"))
-        jobs = json.loads(archive(
-            port, "/api/timeseries?series=jobs.*&window=60&step=1",
-            "timeseries_jobs.json"))
-        html = archive(port, "/dashboard", "dashboard.html")
-        health = json.loads(archive(port, "/healthz",
-                                    "dashboard_healthz.json"))
-        metrics = archive(port, "/metrics", "dashboard_metrics.prom")
-
-    check(ts["series"], "the * query matched series")
-    names = {s["name"] for s in ts["series"]}
-    for needed in ("jobs.done", "jobs.queue_depth", "proc.rss_bytes",
-                   "proc.cpu_seconds"):
-        check(needed in names, f"series {needed} present")
-    for s in ts["series"]:
-        check(s["kind"] in ("counter", "gauge"),
-              f"{s['name']} is a counter or gauge")
-        bad = next((p for p in s["points"]
-                    if not (len(p) == 4 and p[0] > 0
-                            and p[1] <= p[2] <= p[3])), None)
-        check(bad is None,
-              f"{s['name']}: every point is [t>0, lo<=mean<=hi] ({bad})")
-    jnames = {s["name"] for s in jobs["series"]}
-    check(all(n.startswith("jobs.") for n in jnames),
-          f"jobs.* matched only jobs series ({sorted(jnames)})")
-    done = next(s for s in jobs["series"] if s["name"] == "jobs.done")
-    check(any(p[2] > 0 for p in done["points"]),
-          f"jobs.done shows a positive rate ({done['points']})")
-    check(html.startswith("<!doctype html>") and "</html>" in html,
-          "/dashboard is a whole HTML document")
-    check("/api/timeseries" in html, "/dashboard queries /api/timeseries")
-    for marker in ("<link", 'src="http', "@import"):
-        check(marker not in html, f"/dashboard has no external {marker!r}")
-    check(health["status"] == "degraded",
-          f"/healthz degraded by the breach ({health['status']})")
-    rules = {r["name"]: r for r in health["slo"]["rules"]}
-    ff = rules["first_front_latency"]
-    check(ff["state"] == "breach", f"first_front_latency breached ({ff})")
-    check(ff["fast_burn"] >= 14.4,
-          f"fast burn {ff['fast_burn']:.1f} >= 14.4")
-    check("tsmo_slo_breached 1" in metrics, "breach gauge set on /metrics")
-    check('tsmo_slo_state{rule="first_front_latency"} 2' in metrics,
-          "state gauge at breach on /metrics")
-    check(health["tsdb"]["ticks"] > 0, "/healthz counts sampler ticks")
-    print("dashboard OK:", len(names), "series,",
-          f"fast burn {ff['fast_burn']:.1f}x on first_front_latency")
-
-
 # ---------------------------------------------------------- perf phase
 
 
@@ -895,9 +804,6 @@ GUARDS = (
     ("profiler", "profiler_overhead.json",
      "sampling overhead {overhead_percent:.2f}% at {rate_hz} Hz "
      "({samples_captured} samples)"),
-    ("tsdb", "tsdb_overhead.json",
-     "tsdb sampler overhead {overhead_percent:.2f}% "
-     "({ticks_sampled} ticks at {sample_period_ms} ms)"),
 )
 
 
@@ -941,7 +847,6 @@ def main():
         ("obs", phase_obs),
         ("jobs", lambda: phase_jobs(args.write_golden)),
         ("profile", phase_profile),
-        ("dashboard", phase_dashboard),
         ("perf", phase_perf),
         ("overheads", phase_overheads),
         *((f"guard: {name}", functools.partial(guard, record, reading))

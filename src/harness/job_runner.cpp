@@ -290,14 +290,12 @@ obs::JobOutcome run_job_body(const std::string& body,
     out.evaluations = result.evaluations;
     out.wall_seconds = result.wall_seconds;
     out.stopped_early = result.stopped_early;
-    // SLO feed: insertion clocks are relative to recorder construction,
-    // which brackets the whole engine run, so the first event's t_ns is
-    // the runner-side submit-to-first-front latency.
+    // Insertion clocks are relative to recorder construction, which
+    // brackets the whole engine run, so the first event's t_ns is the
+    // runner-side submit-to-first-front latency.
     if (!recorder.insertions().empty()) {
       out.first_front_ns = recorder.insertions().front().t_ns;
     }
-    out.stalls_flagged =
-        static_cast<std::uint64_t>(recorder.stalls_flagged());
     out.ok = true;
   } catch (const std::exception& e) {
     out = obs::JobOutcome{};

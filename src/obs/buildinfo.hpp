@@ -23,8 +23,8 @@ struct BuildInfo {
 const BuildInfo& build_info() noexcept;
 
 /// Wall-clock time this process loaded [unix ms]; captured once at static
-/// init so /buildinfo, /healthz and the dashboard header agree on when
-/// the server last restarted.
+/// init so /buildinfo and /healthz agree on when the server last
+/// restarted.
 std::int64_t process_start_unix_ms() noexcept;
 
 /// Seconds since process load (steady clock, immune to wall adjustments).

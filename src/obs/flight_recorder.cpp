@@ -42,10 +42,6 @@ const char* to_string(FlightKind kind) noexcept {
       return "job_finish";
     case FlightKind::kJobCancel:
       return "job_cancel";
-    case FlightKind::kSloBreach:
-      return "slo_breach";
-    case FlightKind::kSloRecover:
-      return "slo_recover";
     case FlightKind::kNote:
       return "note";
   }

@@ -44,8 +44,6 @@ enum class FlightKind : std::uint8_t {
   kJobStart,
   kJobFinish,
   kJobCancel,
-  kSloBreach,
-  kSloRecover,
   kNote,
 };
 
@@ -65,9 +63,6 @@ const char* to_string(FlightKind kind) noexcept;
 ///   kJobStart          tag=job id   v=queue wait [ms]
 ///   kJobFinish         tag=job id   a=terminal state  v=run [ms]
 ///   kJobCancel         tag=job id   a=1 when it was already running
-///   kSloBreach         tag=rule     a=state (1 warn, 2 breach)
-///                                   v=fast-window burn rate ×1000
-///   kSloRecover        tag=rule     v=fast-window burn rate ×1000
 struct FlightEvent {
   std::uint64_t seq = 0;   ///< 1-based global claim order
   std::uint64_t t_ns = 0;  ///< now_ns() at record time

@@ -69,9 +69,8 @@ void send_response(int fd, const HttpResponse& res, bool head_only = false) {
                     status_text(res.status) + "\r\n";
   out += "Content-Type: " + res.content_type + "\r\n";
   out += "Content-Length: " + std::to_string(res.body.size()) + "\r\n";
-  if (!res.cache_control.empty()) {
-    out += "Cache-Control: " + res.cache_control + "\r\n";
-  }
+  // Every endpoint here is dynamic.
+  out += "Cache-Control: no-store\r\n";
   for (const auto& [name, value] : res.headers) {
     out += name + ": " + value + "\r\n";
   }

@@ -48,10 +48,6 @@ struct HttpResponse {
   std::string content_type = "text/plain; charset=utf-8";
   std::string body;
   std::vector<std::pair<std::string, std::string>> headers;
-  /// Emitted as a Cache-Control header.  Every endpoint here is dynamic,
-  /// so the default is no-store; the embedded dashboard asset overrides
-  /// with max-age=60.  Empty suppresses the header.
-  std::string cache_control = "no-store";
   /// Exemplar correlation (DESIGN.md §13): handlers that know which request
   /// they served stamp the causal trace id and a short label (the job id);
   /// the slowest-bucket samples of the per-route latency histograms on

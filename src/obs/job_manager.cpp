@@ -18,6 +18,10 @@ namespace {
 
 constexpr const char* kJsonContentType = "application/json; charset=utf-8";
 
+/// Submit-to-first-front latency target [ms]: successful jobs slower than
+/// this count into Stats::first_front_slow.
+constexpr double kFirstFrontTargetMs = 2000.0;
+
 /// uint64 as "0x%016x": JSON numbers are doubles downstream, which would
 /// silently round fingerprints above 2^53, so they travel as hex strings.
 std::string hex64(std::uint64_t v) {
@@ -233,22 +237,21 @@ void JobManager::finish_job(Job& job, JobOutcome outcome) {
     } else if (job.outcome.ok) {
       terminal = JobState::kDone;
       ++done_;
-      // SLO feed: submit-to-first-front latency (queue wait + runner time
-      // until the archive accepted its first point) against the target.
+      // Submit-to-first-front latency (queue wait + runner time until the
+      // archive accepted its first point) against the target.
       // A successful job that never produced a front counts as slow.
       ++first_front_total_;
       const std::uint64_t to_first_ns =
           (job.start_ns - job.submit_ns) + job.outcome.first_front_ns;
       const double to_first_ms = static_cast<double>(to_first_ns) / 1.0e6;
       if (job.outcome.first_front_ns == 0 ||
-          to_first_ms > config_.first_front_target_ms) {
+          to_first_ms > kFirstFrontTargetMs) {
         ++first_front_slow_;
       }
     } else {
       terminal = JobState::kFailed;
       ++failed_;
     }
-    stalls_flagged_ += job.outcome.stalls_flagged;
     job.state = terminal;
     --running_;
     // Manager-side lifecycle spans, appended directly (not through the
@@ -726,29 +729,11 @@ JobManager::Stats JobManager::stats() const {
   s.cancelled = cancelled_;
   s.first_front_total = first_front_total_;
   s.first_front_slow = first_front_slow_;
-  s.stalls_flagged = stalls_flagged_;
   s.queue_depth = queue_.depth();
   s.running = running_;
   s.queue_capacity = queue_.capacity();
   s.executors = config_.executors < 1 ? 1 : config_.executors;
   return s;
-}
-
-std::vector<JobManager::LiveFront> JobManager::live_fronts() const {
-  std::vector<LiveFront> out;
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [id, job] : jobs_) {
-    if (job->state != JobState::kRunning) continue;
-    std::lock_guard<std::mutex> live_lock(job->live_mutex);
-    if (job->live == nullptr) continue;
-    LiveFront lf;
-    lf.id = id;
-    lf.name = job->name;
-    lf.hv = job->live->global_hv();
-    lf.front_size = job->live->live_status().front.size();
-    out.push_back(std::move(lf));
-  }
-  return out;
 }
 
 JobManager::JobView JobManager::view(const std::string& name) const {

@@ -91,10 +91,8 @@ struct JobOutcome {
   /// Runner time until the anytime archive accepted its first point
   /// (convergence recorder insertion clock); 0 when no front emerged.
   /// The manager adds queue wait and classifies submit-to-first-front
-  /// against JobManagerConfig::first_front_target_ms (SLO feed).
+  /// against its 2 s target (the tsmo_jobs_first_front_* counters).
   std::uint64_t first_front_ns = 0;
-  /// Stall-watchdog verdicts flagged during this job's run.
-  std::uint64_t stalls_flagged = 0;
 };
 
 /// Executes one submitted body.  Runs on a manager executor thread; must
@@ -116,10 +114,6 @@ struct JobManagerConfig {
   /// spans; overflow is counted in the export's dropped_spans, never
   /// silently lost.
   std::size_t trace_span_budget = 4096;
-  /// Submit-to-first-front latency target [ms] (ROADMAP: p99 < 2 s).
-  /// Successful jobs slower than this count into Stats::first_front_slow,
-  /// the bad-event feed of the first_front_latency SLO.
-  double first_front_target_ms = 2000.0;
 };
 
 class JobManager {
@@ -156,23 +150,13 @@ class JobManager {
     std::uint64_t done = 0;
     std::uint64_t failed = 0;
     std::uint64_t cancelled = 0;
-    /// Successful jobs classified against first_front_target_ms.
+    /// Successful jobs classified against the 2 s first-front target.
     std::uint64_t first_front_total = 0;
     std::uint64_t first_front_slow = 0;
-    /// Stall-watchdog verdicts accumulated from finished jobs.
-    std::uint64_t stalls_flagged = 0;
     std::size_t queue_depth = 0;
     std::size_t running = 0;
     std::size_t queue_capacity = 0;
     int executors = 0;
-  };
-
-  /// Live anytime snapshot of one running job (tsdb sampler feed).
-  struct LiveFront {
-    std::uint64_t id = 0;
-    std::string name;
-    double hv = 0.0;
-    std::size_t front_size = 0;
   };
 
   /// One job's externally visible state (tests and /jobs listing).
@@ -227,11 +211,6 @@ class JobManager {
   Stats stats() const;
   JobView view(const std::string& name) const;  ///< id 0 when unknown
 
-  /// Hypervolume/front-size of every currently running job that has
-  /// published a recorder; the obs sampler turns these into per-job
-  /// `job.<name>.hv` series for the dashboard's convergence curves.
-  std::vector<LiveFront> live_fronts() const;
-
  private:
   struct Job {
     std::uint64_t id = 0;
@@ -283,7 +262,6 @@ class JobManager {
   std::uint64_t cancelled_ = 0;
   std::uint64_t first_front_total_ = 0;
   std::uint64_t first_front_slow_ = 0;
-  std::uint64_t stalls_flagged_ = 0;
   std::size_t running_ = 0;
 
   std::vector<std::thread> executors_;

@@ -10,7 +10,6 @@
 
 #include "moo/introspect.hpp"
 #include "obs/buildinfo.hpp"
-#include "obs/dashboard_html.hpp"
 #include "obs/exposition.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/job_manager.hpp"
@@ -129,23 +128,6 @@ std::string query_param(const std::string& query, const std::string& key) {
   return "";
 }
 
-/// Wall clock in unix milliseconds (the tsdb's time axis).
-std::int64_t wall_now_ms() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::system_clock::now().time_since_epoch())
-      .count();
-}
-
-/// p99 of a RouteStat's log2 latency buckets in milliseconds, via the
-/// same interpolating bucket walk the telemetry histograms use.
-double route_p99_ms(const RouteStat& s) {
-  telemetry::HistogramSnap h;
-  h.buckets = s.buckets;
-  h.count = s.count;
-  h.sum_ns = s.sum_ns;
-  return h.quantile_ns(0.99) / 1.0e6;
-}
-
 void write_heartbeats(JsonWriter& w, const HeartbeatBoard& board,
                       std::uint64_t now) {
   w.begin_array();
@@ -190,23 +172,13 @@ ObsServer::ObsServer(Options opts)
     res.content_type = kJsonContentType;
     res.body = os.str();
   });
-  server_.route("/api/timeseries",
-                [this](const HttpRequest& req, HttpResponse& res) {
-                  handle_timeseries(req, res);
-                });
-  server_.route("/dashboard", [this](const HttpRequest&, HttpResponse& res) {
-    handle_dashboard(res);
-  });
   server_.route("/", [this](const HttpRequest&, HttpResponse& res) {
     res.body =
         "tsmo operational plane\n"
         "  /metrics    Prometheus exposition of the telemetry registry\n"
-        "  /healthz    liveness + stall watchdog + SLO verdicts\n"
+        "  /healthz    liveness + stall watchdog\n"
         "  /status     live Pareto front and per-worker progress\n"
         "  /buildinfo  git sha, compiler, flags, start time\n"
-        "  /dashboard  live embedded dashboard (self-refreshing HTML)\n"
-        "  /api/timeseries?series=<glob>&window=<s>&step=<s>  history "
-        "JSON\n"
         "  /debug/profile?seconds=N&format=folded|speedscope  CPU profile "
         "window\n";
     if (jobs_ != nullptr) {
@@ -223,216 +195,23 @@ void ObsServer::attach_jobs(JobManager* jobs) {
   if (jobs_ != nullptr) jobs_->install_routes(server_);
 }
 
-void ObsServer::enable_history(HistoryOptions opts) {
-  db_ = std::make_unique<tsdb::Tsdb>(opts.tsdb);
-  sampler_wanted_ = opts.sampler;
-  if (opts.slo) {
-    slo_ = std::make_unique<SloEngine>(
-        opts.rules.empty() ? default_slo_rules() : std::move(opts.rules));
-  } else {
-    slo_.reset();
-  }
-}
-
 bool ObsServer::start() {
   start_ns_ = now_ns();
-  start_unix_ms_ = wall_now_ms();
   const bool ok = server_.start();
   if (ok && FlightRecorder::enabled()) {
     FlightRecorder::instance().record(FlightKind::kServeStart, nullptr, 0,
                                       port());
   }
-  if (ok && db_ != nullptr && sampler_wanted_ && !sampler_.joinable()) {
-    sampler_stop_ = false;
-    sampler_ = std::thread([this] { sampler_loop(); });
-  }
   return ok;
 }
 
 void ObsServer::stop() {
-  if (sampler_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(sampler_mu_);
-      sampler_stop_ = true;
-    }
-    sampler_cv_.notify_all();
-    sampler_.join();
-  }
   if (!server_.running()) return;
   const int p = port();
   server_.stop();
   if (FlightRecorder::enabled()) {
     FlightRecorder::instance().record(FlightKind::kServeStop, nullptr, 0, p);
   }
-}
-
-void ObsServer::sampler_loop() {
-  const auto period = std::chrono::duration<double>(
-      db_->options().sample_period_s);
-  std::unique_lock<std::mutex> lock(sampler_mu_);
-  while (!sampler_stop_) {
-    lock.unlock();
-    sample_now(wall_now_ms());
-    lock.lock();
-    sampler_cv_.wait_for(lock, period, [this] { return sampler_stop_; });
-  }
-}
-
-void ObsServer::sample_now(std::int64_t now_ms) {
-  if (db_ == nullptr) return;
-  tsdb::Tsdb& db = *db_;
-  using tsdb::Kind;
-  db.begin_tick(now_ms);
-#if TSMO_TELEMETRY_ENABLED
-  if (telemetry::enabled()) {
-    // Registry counters/gauges verbatim; histograms as sampled quantile
-    // gauges (the dashboard's latency curves come from these and the
-    // per-route RED stats below).
-    const telemetry::Snapshot snap =
-        telemetry::Registry::instance().snapshot(/*include_spans=*/false);
-    for (const auto& c : snap.counters) {
-      db.set("metric." + c.name, Kind::kCounter,
-             static_cast<double>(c.value));
-    }
-    for (const auto& g : snap.gauges) {
-      db.set("metric." + g.name, Kind::kGauge, static_cast<double>(g.value));
-    }
-    for (const auto& h : snap.histograms) {
-      if (h.count == 0) continue;
-      db.set("metric." + h.name + ".p50_ms", Kind::kGauge,
-             h.quantile_ns(0.5) / 1.0e6);
-      db.set("metric." + h.name + ".p99_ms", Kind::kGauge,
-             h.quantile_ns(0.99) / 1.0e6);
-    }
-  }
-#endif
-  std::uint64_t stalls = 0;
-  if (jobs_ != nullptr) {
-    const JobManager::Stats js = jobs_->stats();
-    db.set("jobs.submitted", Kind::kCounter,
-           static_cast<double>(js.submitted));
-    db.set("jobs.accepted", Kind::kCounter, static_cast<double>(js.accepted));
-    db.set("jobs.rejected", Kind::kCounter, static_cast<double>(js.rejected));
-    db.set("jobs.done", Kind::kCounter, static_cast<double>(js.done));
-    db.set("jobs.failed", Kind::kCounter, static_cast<double>(js.failed));
-    db.set("jobs.cancelled", Kind::kCounter,
-           static_cast<double>(js.cancelled));
-    db.set("jobs.finished", Kind::kCounter,
-           static_cast<double>(js.done + js.failed + js.cancelled));
-    db.set("jobs.first_front_total", Kind::kCounter,
-           static_cast<double>(js.first_front_total));
-    db.set("jobs.first_front_slow", Kind::kCounter,
-           static_cast<double>(js.first_front_slow));
-    db.set("jobs.queue_depth", Kind::kGauge,
-           static_cast<double>(js.queue_depth));
-    db.set("jobs.running", Kind::kGauge, static_cast<double>(js.running));
-    db.set("jobs.executors", Kind::kGauge, static_cast<double>(js.executors));
-    db.set("jobs.utilization", Kind::kGauge,
-           js.executors > 0 ? static_cast<double>(js.running) /
-                                  static_cast<double>(js.executors)
-                            : 0.0);
-    stalls += js.stalls_flagged;
-    for (const JobManager::LiveFront& lf : jobs_->live_fronts()) {
-      db.set("job." + lf.name + ".hv", Kind::kGauge, lf.hv);
-      db.set("job." + lf.name + ".front_size", Kind::kGauge,
-             static_cast<double>(lf.front_size));
-    }
-  }
-  if (const ConvergenceRecorder* rec =
-          recorder_.load(std::memory_order_acquire)) {
-    const ConvergenceRecorder::LiveStatus live = rec->live_status();
-    db.set("search.hv", Kind::kGauge, live.hv_global);
-    db.set("search.front_size", Kind::kGauge,
-           static_cast<double>(live.front.size()));
-    db.set("search.insertions", Kind::kCounter,
-           static_cast<double>(live.insertions));
-    db.set("search.progress", Kind::kCounter,
-           static_cast<double>(rec->board().total_progress()));
-    stalls += static_cast<std::uint64_t>(rec->stalls_flagged());
-  }
-  db.set("search.stalls_flagged", Kind::kCounter,
-         static_cast<double>(stalls));
-  for (const RouteStat& s : server_.route_stats()) {
-    if (s.count == 0) continue;
-    const std::string key = s.method == "GET" ? s.route
-                                              : s.method + " " + s.route;
-    db.set("http.p99_ms." + key, Kind::kGauge, route_p99_ms(s));
-    db.set("http.requests." + key, Kind::kCounter,
-           static_cast<double>(s.count));
-  }
-  {
-    const ProcessStats ps = read_process_stats();
-    db.set("proc.rss_bytes", Kind::kGauge, ps.resident_memory_bytes);
-    db.set("proc.cpu_seconds", Kind::kCounter, ps.cpu_seconds_total);
-    db.set("proc.open_fds", Kind::kGauge, ps.open_fds);
-  }
-  db.commit_tick();
-  if (slo_ != nullptr) slo_->evaluate(db, now_ms);
-}
-
-void ObsServer::handle_timeseries(const HttpRequest& req, HttpResponse& res) {
-  if (db_ == nullptr) {
-    res.status = 404;
-    res.content_type = kJsonContentType;
-    res.body =
-        "{\"error\":\"history disabled\",\"hint\":\"arm it with "
-        "enable_history() / --tsdb\"}\n";
-    return;
-  }
-  const tsdb::TsdbOptions& opts = db_->options();
-  double window_s = 300.0;
-  double step_s = 0.0;
-  std::string glob = query_param(req.query, "series");
-  if (glob.empty()) glob = "*";
-  const std::string w = query_param(req.query, "window");
-  if (!w.empty()) window_s = std::atof(w.c_str());
-  window_s = std::clamp(window_s, opts.sample_period_s,
-                        opts.agg_retention_s());
-  const std::string st = query_param(req.query, "step");
-  if (!st.empty()) step_s = std::atof(st.c_str());
-  if (step_s <= 0.0) step_s = std::max(window_s / 120.0, opts.sample_period_s);
-  step_s = std::clamp(step_s, opts.sample_period_s, window_s);
-
-  const std::int64_t now_ms = wall_now_ms();
-  const std::vector<tsdb::TsSeries> series =
-      db_->query(glob, window_s, step_s, now_ms);
-
-  std::ostringstream os;
-  JsonWriter w_json(os);
-  w_json.begin_object();
-  w_json.key("now_ms").value(now_ms);
-  w_json.key("window_s").value(window_s);
-  w_json.key("step_s").value(step_s);
-  w_json.key("ticks").value(static_cast<std::int64_t>(db_->ticks()));
-  w_json.key("series").begin_array();
-  for (const tsdb::TsSeries& s : series) {
-    w_json.begin_object();
-    w_json.key("name").value(s.name);
-    w_json.key("kind").value(tsdb::to_string(s.kind));
-    w_json.key("points").begin_array();
-    for (const tsdb::TsPoint& p : s.points) {
-      w_json.begin_array();
-      w_json.value(p.t_ms);
-      w_json.value(p.min);
-      w_json.value(p.mean);
-      w_json.value(p.max);
-      w_json.end_array();
-    }
-    w_json.end_array();
-    w_json.end_object();
-  }
-  w_json.end_array();
-  w_json.end_object();
-  os << '\n';
-  res.content_type = kJsonContentType;
-  res.body = os.str();
-}
-
-void ObsServer::handle_dashboard(HttpResponse& res) {
-  res.content_type = "text/html; charset=utf-8";
-  // The page is a build-time constant: cacheable, unlike the data it pulls.
-  res.cache_control = "max-age=60";
-  res.body = kDashboardHtml;
 }
 
 void ObsServer::handle_debug_profile(const HttpRequest& req,
@@ -527,57 +306,6 @@ void ObsServer::handle_metrics(HttpResponse& res) {
                    "missed the target.",
                    js.first_front_slow);
   }
-  if (db_ != nullptr) {
-    append_gauge(body, "tsmo_tsdb_series",
-                 "Series registered in the in-process time-series store.",
-                 static_cast<double>(db_->series_count()));
-    append_counter(body, "tsmo_tsdb_ticks_total",
-                   "Sampler ticks committed into the time-series store.",
-                   db_->ticks());
-    append_counter(body, "tsmo_tsdb_dropped_series_total",
-                   "Series rejected by the store's max-series bound.",
-                   db_->dropped_series());
-  }
-  if (slo_ != nullptr) {
-    const std::vector<SloVerdict> verdicts = slo_->verdicts();
-    body +=
-        "# HELP tsmo_slo_state Burn-rate verdict per SLO rule "
-        "(0 ok, 1 warn, 2 breach).\n"
-        "# TYPE tsmo_slo_state gauge\n";
-    for (const SloVerdict& v : verdicts) {
-      body += "tsmo_slo_state{rule=\"" + escape_label_value(v.name) + "\"} " +
-              std::to_string(static_cast<int>(v.state)) + "\n";
-    }
-    auto burn_family = [&](const char* name, const char* help,
-                           double SloVerdict::* field) {
-      body += std::string("# HELP ") + name + " " + help + "\n";
-      body += std::string("# TYPE ") + name + " gauge\n";
-      for (const SloVerdict& v : verdicts) {
-        char buf[40];
-        std::snprintf(buf, sizeof(buf), "%.6g", v.*field);
-        body += std::string(name) + "{rule=\"" + escape_label_value(v.name) +
-                "\"} " + buf + "\n";
-      }
-    };
-    burn_family("tsmo_slo_fast_burn",
-                "Error-budget burn rate over the fast window.",
-                &SloVerdict::fast_burn);
-    burn_family("tsmo_slo_slow_burn",
-                "Error-budget burn rate over the slow window.",
-                &SloVerdict::slow_burn);
-    body +=
-        "# HELP tsmo_slo_transitions_total State transitions per SLO rule "
-        "since start.\n"
-        "# TYPE tsmo_slo_transitions_total counter\n";
-    for (const SloVerdict& v : verdicts) {
-      body += "tsmo_slo_transitions_total{rule=\"" +
-              escape_label_value(v.name) + "\"} " +
-              std::to_string(v.transitions) + "\n";
-    }
-    append_gauge(body, "tsmo_slo_breached",
-                 "1 while any SLO rule is in the breach state.",
-                 slo_->overall() == SloState::kBreach ? 1.0 : 0.0);
-  }
   // Standard process gauges (satellite: node-exporter-style basics so a
   // bare scrape config gets memory/CPU without a sidecar).
   const ProcessStats ps = read_process_stats();
@@ -670,15 +398,10 @@ void ObsServer::handle_healthz(HttpResponse& res) {
   const ConvergenceRecorder* rec = recorder_.load(std::memory_order_acquire);
   const std::uint64_t now = now_ns();
   const int stalled = rec ? rec->stalled_count() : 0;
-  const SloState slo_state = slo_ ? slo_->overall() : SloState::kOk;
   std::ostringstream os;
   JsonWriter w(os);
   w.begin_object();
-  // Stalls outrank SLO state: a wedged worker is a liveness problem, a
-  // burning error budget "only" a service-quality one.
-  w.key("status").value(stalled > 0 ? "stalled"
-                        : slo_state == SloState::kBreach ? "degraded"
-                                                         : "ok");
+  w.key("status").value(stalled > 0 ? "stalled" : "ok");
   w.key("uptime_seconds")
       .value(static_cast<double>(now - start_ns_) / 1.0e9);
   w.key("uptime_s").value(process_uptime_s());
@@ -686,33 +409,6 @@ void ObsServer::handle_healthz(HttpResponse& res) {
   w.key("build").begin_object();
   w.key("git_sha").value(build_info().git_sha);
   w.end_object();
-  if (slo_ != nullptr) {
-    w.key("slo").begin_object();
-    w.key("state").value(to_string(slo_state));
-    w.key("rules").begin_array();
-    for (const SloVerdict& v : slo_->verdicts()) {
-      w.begin_object();
-      w.key("name").value(v.name);
-      w.key("state").value(to_string(v.state));
-      w.key("fast_burn").value(v.fast_burn);
-      w.key("slow_burn").value(v.slow_burn);
-      w.key("bad_fast").value(v.bad_fast);
-      w.key("total_fast").value(v.total_fast);
-      w.key("objective").value(v.objective);
-      w.key("transitions").value(static_cast<std::int64_t>(v.transitions));
-      w.key("since_ms").value(v.since_ms);
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-  }
-  if (db_ != nullptr) {
-    w.key("tsdb").begin_object();
-    w.key("ticks").value(static_cast<std::int64_t>(db_->ticks()));
-    w.key("series").value(static_cast<std::int64_t>(db_->series_count()));
-    w.key("sample_period_s").value(db_->options().sample_period_s);
-    w.end_object();
-  }
   w.key("stalled_now").value(stalled);
   w.key("stalls_flagged")
       .value(static_cast<std::int64_t>(rec ? rec->stalls_flagged() : 0));

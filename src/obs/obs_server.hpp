@@ -14,19 +14,7 @@
 //   GET /debug/profile?seconds=N[&format=folded|speedscope]
 //                   on-demand CPU profile window from the sampling
 //                   profiler (DESIGN.md §14); 409 when sampling is off.
-//   GET /api/timeseries?series=<glob>&window=<s>&step=<s>
-//                   windowed/downsampled history JSON from the in-process
-//                   tsdb (DESIGN.md §15); 404 until enable_history().
-//   GET /dashboard  single embedded self-refreshing HTML page (inline
-//                   JS/SVG sparklines, zero external assets) rendered
-//                   entirely from /api/timeseries + /healthz.
 //   GET /           plain-text index of the endpoints above.
-//
-// With enable_history() the server owns a sampler thread that feeds the
-// tsdb once per period (registry counters/gauges, histogram quantiles,
-// job-plane stats, per-route p99s, recorder hypervolume, process gauges)
-// and then runs the SLO burn-rate engine over it; verdicts surface as
-// tsmo_slo_* gauges on /metrics and an slo{} block on /healthz.
 //
 // With attach_jobs() the same server also fronts the job plane
 // (DESIGN.md §12): POST /jobs, GET /jobs[/<id>[/result]], DELETE
@@ -38,17 +26,11 @@
 // the server on or off.
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 
 #include "moo/anytime.hpp"
 #include "obs/http_server.hpp"
-#include "obs/slo.hpp"
-#include "util/tsdb.hpp"
 
 namespace tsmo::obs {
 
@@ -59,19 +41,6 @@ class ObsServer {
   struct Options {
     int port = 0;  ///< 0 = ephemeral (resolved port via port())
     int handler_threads = 2;
-  };
-
-  /// Configuration for the in-process history plane (off by default).
-  struct HistoryOptions {
-    tsdb::TsdbOptions tsdb;
-    /// Evaluate SLO rules after each sampler tick.
-    bool slo = true;
-    /// Rule set; default_slo_rules() when empty.
-    std::vector<SloRule> rules;
-    /// Launch the sampler thread on start().  Tests turn this off and
-    /// drive sample_now() manually — the tsdb writer side is
-    /// single-threaded by contract.
-    bool sampler = true;
   };
 
   ObsServer() : ObsServer(Options()) {}
@@ -95,23 +64,6 @@ class ObsServer {
   /// outlive the server.
   void attach_jobs(JobManager* jobs);
 
-  /// Arms the history plane: allocates the tsdb (and SLO engine unless
-  /// opts.slo is false); start() then launches the sampler thread.  Call
-  /// before start(); a second call replaces the (not yet sampling) store.
-  void enable_history(HistoryOptions opts);
-  void enable_history() { enable_history(HistoryOptions()); }
-  bool history_enabled() const noexcept { return db_ != nullptr; }
-
-  /// The store / engine, or nullptr while history is off.  The tsdb's
-  /// reader API is safe from any thread while the server runs.
-  const tsdb::Tsdb* db() const noexcept { return db_.get(); }
-  const SloEngine* slo() const noexcept { return slo_.get(); }
-
-  /// Runs one sampler tick synchronously at wall time `now_ms` (tests and
-  /// CLI one-shots; the sampler thread calls the same path).  No-op while
-  /// history is off.
-  void sample_now(std::int64_t now_ms);
-
   /// /metrics scrapes answered so far.
   std::uint64_t scrapes() const noexcept {
     return scrapes_.load(std::memory_order_relaxed);
@@ -122,25 +74,12 @@ class ObsServer {
   void handle_healthz(HttpResponse& res);
   void handle_status(HttpResponse& res);
   void handle_debug_profile(const HttpRequest& req, HttpResponse& res);
-  void handle_timeseries(const HttpRequest& req, HttpResponse& res);
-  void handle_dashboard(HttpResponse& res);
-  void sampler_loop();
 
   HttpServer server_;
   JobManager* jobs_ = nullptr;  ///< set before start(), then read-only
   std::atomic<const ConvergenceRecorder*> recorder_{nullptr};
   std::atomic<std::uint64_t> scrapes_{0};
   std::uint64_t start_ns_ = 0;
-  std::int64_t start_unix_ms_ = 0;
-
-  // History plane (DESIGN.md §15).
-  std::unique_ptr<tsdb::Tsdb> db_;
-  std::unique_ptr<SloEngine> slo_;
-  std::thread sampler_;
-  std::mutex sampler_mu_;
-  std::condition_variable sampler_cv_;
-  bool sampler_stop_ = false;    // guarded by sampler_mu_
-  bool sampler_wanted_ = true;   // from HistoryOptions::sampler
 };
 
 }  // namespace tsmo::obs

@@ -374,65 +374,6 @@ TEST_F(GoldenSeedTest, ServeAndFlightRecorderFingerprintsIdentical) {
                    "sync-det.obs.seed" + std::to_string(seed));
 }
 
-/// The history plane (DESIGN.md §15) is pure observation too: a live
-/// sampler thread feeding the tsdb at high cadence plus SLO burn-rate
-/// evaluation after every tick must leave fingerprints bitwise identical
-/// to the bare run — across 1/2/4 execution threads.
-TEST_F(GoldenSeedTest, TsdbAndSloOnOffFingerprintsIdentical) {
-  const std::uint64_t seed = kSeeds[0];
-
-  AsyncOptions async_off;
-  async_off.deterministic = true;
-  const RunResult async_base =
-      AsyncTsmo(inst_, golden_params(seed), 4, async_off).run();
-
-  ConvergenceConfig cc;
-  cc.reference = convergence_reference(inst_);
-  cc.sample_every_iters = 5;
-  ConvergenceRecorder rec(cc);
-
-  obs::ObsServer server;
-  obs::ObsServer::HistoryOptions ho;
-  ho.tsdb.sample_period_s = 0.02;  // 50 Hz: far hotter than production
-  server.enable_history(std::move(ho));
-  ASSERT_TRUE(server.start()) << server.reason();
-  server.set_recorder(&rec);
-
-  std::atomic<bool> done{false};
-  std::thread scraper([&] {
-    while (!done.load(std::memory_order_acquire)) {
-      obs::http_get(server.port(), "/api/timeseries?series=*&window=60");
-      obs::http_get(server.port(), "/healthz");
-      obs::http_get(server.port(), "/dashboard");
-    }
-  });
-
-  std::vector<RunResult> runs{async_base};
-  RunContext with_recorder;
-  with_recorder.recorder = &rec;
-  for (int exec : kExecWidths) {
-    AsyncOptions on;
-    on.deterministic = true;
-    on.exec_threads = exec;
-    runs.push_back(
-        AsyncTsmo(inst_, golden_params(seed), 4, on, with_recorder).run());
-  }
-
-  done.store(true, std::memory_order_release);
-  scraper.join();
-  server.set_recorder(nullptr);
-  server.stop();
-  // The sampler really ran and recorded search gauges.
-  ASSERT_NE(server.db(), nullptr);
-  EXPECT_GT(server.db()->ticks(), 0u);
-  EXPECT_GT(server.db()->series_count(), 0u);
-  ASSERT_NE(server.slo(), nullptr);
-  EXPECT_EQ(server.slo()->verdicts().size(),
-            obs::default_slo_rules().size());
-
-  expect_identical(runs, "async-det.tsdb.seed" + std::to_string(seed));
-}
-
 /// Pruned sampling (candidate_k > 0) draws from a different move stream
 /// than legacy uniform sampling, but it must still be a pure function of
 /// (params, logical processors): identical across 1/2/4 execution threads

@@ -12,6 +12,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -33,8 +34,10 @@
 #include "obs/exposition.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/http_server.hpp"
+#include "obs/job_manager.hpp"
 #include "obs/obs_server.hpp"
 #include "parallel/async_tsmo.hpp"
+#include "util/profiler.hpp"
 #include "util/progress.hpp"
 #include "util/telemetry.hpp"
 #include "vrptw/generator.hpp"
@@ -363,6 +366,53 @@ TEST(HttpObs, ServesIndexBuildinfoAnd404OnEphemeralPort) {
   EXPECT_FALSE(server.running());
 }
 
+/// The paths the `/` index names: each line that starts with '/' once
+/// its indent is skipped, cut at the first space or '?'.
+std::vector<std::string> index_paths(const std::string& index) {
+  std::vector<std::string> paths;
+  std::istringstream lines(index);
+  std::string line;
+  while (std::getline(lines, line)) {
+    const std::size_t start = line.find_first_not_of(' ');
+    if (start == std::string::npos || line[start] != '/') continue;
+    const std::size_t end = line.find_first_of(" ?", start);
+    paths.push_back(line.substr(start, end - start));  // npos: to the end
+  }
+  return paths;
+}
+
+TEST(HttpObs, IndexNamesOnlyServedRoutes) {
+  // Profiler off, so /debug/profile answers 409 at once instead of
+  // sampling a window.
+  ASSERT_FALSE(prof::enabled());
+  obs::JobManager jobs(obs::JobManagerConfig{},
+                       [](const std::string&, const obs::JobContext&) {
+                         return obs::JobOutcome{};
+                       });
+  for (const bool with_jobs : {false, true}) {
+    obs::ObsServer server;
+    if (with_jobs) server.attach_jobs(&jobs);
+    ASSERT_TRUE(server.start()) << server.reason();
+    std::string index;
+    ASSERT_EQ(
+        obs::http_split_response(obs::http_get(server.port(), "/"), index),
+        200);
+    const std::vector<std::string> paths = index_paths(index);
+    EXPECT_GE(paths.size(), 5u) << index;
+    EXPECT_EQ(std::count(paths.begin(), paths.end(), "/jobs"),
+              with_jobs ? 1 : 0)
+        << index;
+    for (const std::string& path : paths) {
+      std::string body;
+      EXPECT_NE(obs::http_split_response(obs::http_get(server.port(), path),
+                                         body),
+                404)
+          << path;
+    }
+    server.stop();
+  }
+}
+
 TEST(HttpObs, RejectsNonGetAndMalformedRequests) {
   obs::ObsServer server;
   ASSERT_TRUE(server.start()) << server.reason();
@@ -656,15 +706,13 @@ TEST(HttpHead, HeadAnswersGetHeadersWithRealContentLengthAndNoBody) {
   server.stop();
 }
 
-TEST(HttpHead, DynamicEndpointsAreNoStoreAndDashboardIsCacheable) {
+TEST(HttpHead, DynamicEndpointsAreNoStore) {
   obs::ObsServer server;
   ASSERT_TRUE(server.start()) << server.reason();
   for (const char* path : {"/", "/metrics", "/healthz", "/status"}) {
     const std::string raw = obs::http_get(server.port(), path);
     EXPECT_EQ(obs::http_header(raw, "Cache-Control"), "no-store") << path;
   }
-  const std::string dash = obs::http_get(server.port(), "/dashboard");
-  EXPECT_EQ(obs::http_header(dash, "Cache-Control"), "max-age=60");
   server.stop();
 }
 
@@ -797,135 +845,6 @@ TEST(ExpositionConformance, HistogramsStayConsistentUnderConcurrentWriters) {
 #endif
   reg.reset();
   telemetry::set_enabled(was);
-}
-
-// ==========================================================================
-// History plane: /api/timeseries, /dashboard, SLO breach on /healthz
-// ==========================================================================
-
-std::int64_t test_wall_ms() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::system_clock::now().time_since_epoch())
-      .count();
-}
-
-TEST(Timeseries, Is404UntilHistoryIsEnabled) {
-  obs::ObsServer server;
-  ASSERT_TRUE(server.start()) << server.reason();
-  std::string body;
-  EXPECT_EQ(obs::http_split_response(
-                obs::http_get(server.port(), "/api/timeseries"), body),
-            404);
-  EXPECT_TRUE(json_valid(body)) << body;
-  EXPECT_NE(body.find("history disabled"), std::string::npos);
-  server.stop();
-}
-
-TEST(Timeseries, ApiServesSampledSeriesAsCompactJson) {
-  obs::ObsServer server;
-  obs::ObsServer::HistoryOptions ho;
-  ho.sampler = false;  // the test drives sample_now() deterministically
-  server.enable_history(std::move(ho));
-  ASSERT_TRUE(server.start()) << server.reason();
-  ASSERT_TRUE(server.history_enabled());
-
-  const std::int64_t now = test_wall_ms();
-  for (int i = 5; i >= 1; --i) server.sample_now(now - 1000 * i);
-
-  std::string body;
-  ASSERT_EQ(obs::http_split_response(
-                obs::http_get(server.port(),
-                              "/api/timeseries?series=proc.*&window=60&step=1"),
-                body),
-            200);
-  EXPECT_TRUE(json_valid(body)) << body;
-  EXPECT_NE(body.find("\"now_ms\""), std::string::npos);
-  EXPECT_NE(body.find("\"proc.rss_bytes\""), std::string::npos) << body;
-  EXPECT_NE(body.find("\"kind\": \"gauge\""), std::string::npos);
-  EXPECT_NE(body.find("\"proc.cpu_seconds\""), std::string::npos) << body;
-  // The glob filters: a jobs-only query returns no proc series.
-  ASSERT_EQ(obs::http_split_response(
-                obs::http_get(server.port(),
-                              "/api/timeseries?series=jobs.*&window=60"),
-                body),
-            200);
-  EXPECT_EQ(body.find("proc.rss_bytes"), std::string::npos) << body;
-  EXPECT_TRUE(json_valid(body)) << body;
-  // /healthz reports the tsdb block while history is on.
-  ASSERT_EQ(obs::http_split_response(
-                obs::http_get(server.port(), "/healthz"), body),
-            200);
-  EXPECT_NE(body.find("\"tsdb\""), std::string::npos);
-  EXPECT_NE(body.find("\"ticks\": 5"), std::string::npos) << body;
-  server.stop();
-}
-
-TEST(Timeseries, InducedSloBreachFlipsHealthzAndMetrics) {
-  obs::ObsServer server;
-  obs::ObsServer::HistoryOptions ho;
-  ho.sampler = false;
-  // A rule that burns whenever /healthz is scraped at all: bad == total,
-  // so the ratio is 1.0 and the burn rate 1/0.05 = 20 >= both thresholds.
-  obs::SloRule rule;
-  rule.name = "healthz_canary";
-  rule.bad_series = "http.requests./healthz";
-  rule.total_series = "http.requests./healthz";
-  rule.objective = 0.95;
-  ho.rules.push_back(rule);
-  server.enable_history(std::move(ho));
-  ASSERT_TRUE(server.start()) << server.reason();
-
-  std::string body;
-  ASSERT_EQ(obs::http_split_response(
-                obs::http_get(server.port(), "/healthz"), body),
-            200);
-  EXPECT_NE(body.find("\"status\": \"ok\""), std::string::npos) << body;
-
-  const std::int64_t now = test_wall_ms();
-  server.sample_now(now - 1000);  // baseline: requests counter = 1
-  // Traffic between the ticks makes the counter increase inside the fast
-  // window, tripping the rule on the second evaluation.
-  ASSERT_EQ(obs::http_split_response(
-                obs::http_get(server.port(), "/healthz"), body),
-            200);
-  server.sample_now(now);
-
-  ASSERT_EQ(obs::http_split_response(
-                obs::http_get(server.port(), "/healthz"), body),
-            200);
-  EXPECT_TRUE(json_valid(body)) << body;
-  EXPECT_NE(body.find("\"status\": \"degraded\""), std::string::npos) << body;
-  EXPECT_NE(body.find("\"healthz_canary\""), std::string::npos);
-  EXPECT_NE(body.find("\"state\": \"breach\""), std::string::npos);
-
-  ASSERT_EQ(obs::http_split_response(
-                obs::http_get(server.port(), "/metrics"), body),
-            200);
-  EXPECT_NE(body.find("tsmo_slo_state{rule=\"healthz_canary\"} 2"),
-            std::string::npos)
-      << body;
-  EXPECT_NE(body.find("tsmo_slo_breached 1"), std::string::npos);
-  EXPECT_NE(body.find("tsmo_slo_transitions_total{rule=\"healthz_canary\"} 1"),
-            std::string::npos);
-  server.stop();
-}
-
-TEST(Dashboard, EmbeddedPageIsSelfContainedHtml) {
-  obs::ObsServer server;
-  ASSERT_TRUE(server.start()) << server.reason();
-  const std::string raw = obs::http_get(server.port(), "/dashboard");
-  std::string body;
-  ASSERT_EQ(obs::http_split_response(raw, body), 200);
-  EXPECT_NE(obs::http_header(raw, "Content-Type").find("text/html"),
-            std::string::npos);
-  EXPECT_EQ(body.find("<!doctype html>"), 0u);
-  EXPECT_NE(body.find("</html>"), std::string::npos);
-  EXPECT_NE(body.find("/api/timeseries"), std::string::npos);
-  // Zero external assets: no stylesheet links, no script/img srcs.
-  EXPECT_EQ(body.find("<link"), std::string::npos);
-  EXPECT_EQ(body.find("src="), std::string::npos);
-  EXPECT_EQ(body.find("@import"), std::string::npos);
-  server.stop();
 }
 
 TEST(HttpObs, BuildinfoAndHealthzCarryStartTimeAndUptime) {
